@@ -1,0 +1,107 @@
+"""Pinned SHA-256 digests of certificates and reports on fixed seeds.
+
+A refactor of the decision or the reductions must leave every certificate
+byte-identical; these digests were recorded before such refactors and must
+only change together with a documented change of output.  The canonical form
+is compact, key-sorted JSON.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from quatnil import jsonio
+from quatnil.classify import classify, is_sum_of_two_nilpotents
+from quatnil.decompose import decompose_two_nilpotents
+from quatnil.gen import InstanceSpec, generate, two_square_zero_sum
+from quatnil.qcore import AlgebraParams
+
+HAMILTON = (-1, -1)
+OTHER = (-1, -7)
+
+
+def _digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _instance(ab, n, kind, seed, **kw):
+    alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+    if kind == "two-square-zero":
+        return two_square_zero_sum(random.Random(seed), alg, n, 2)
+    if "rep" in kw:
+        kw["rep"] = alg.quat(*kw["rep"])
+    return generate(InstanceSpec(alg, n, kind, seed=seed, **kw))
+
+
+# (algebra, n, kind, seed) -> digest of decomposition_to_json
+DECOMPOSITIONS = {
+    (HAMILTON, 2, "two-square-zero", 11):
+        "7ccd3b749f1973cfc9c80fc43a1f17e1a21170aa3d287c0b875ec775e95c104c",
+    (HAMILTON, 2, "type-II", 12):
+        "57e52046be931af9179ba89f69c19a09f1a12766725487f47a7d41484839ed3b",
+    (HAMILTON, 3, "generic-trace-zero", 13):
+        "a399467b18b6e9104e9aa4ce81815e561fbb7ad3f7a0c31c9ff8719b2e4139da",
+    (HAMILTON, 3, "type-II", 14):
+        "22873deb445d96b7b855093dad9ab5644cc44c6d68bbc26f116bfae68dd662d4",
+    (HAMILTON, 4, "generic-trace-zero", 15):
+        "0b8a114aa3e1b09a249ee3b32d801f0e924e696ab59cb5c9b035e21cf2ee02a0",
+    (HAMILTON, 4, "type-II", 16):
+        "30a31068835d2a7441a3d2b4e2d1bfca0f2768d090fd493d32845e96b907ad61",
+    (HAMILTON, 5, "generic-trace-zero", 17):
+        "63443c5fe1f0b126560abbff3317206b915f52be68345059b36a0a80970d52d9",
+    (HAMILTON, 5, "type-II", 18):
+        "f074e1af2b0b76128df645114b8773ddc34e87d17ee4e1b7f9850e799a295e20",
+    (OTHER, 3, "generic-trace-zero", 21):
+        "86cb1d9009582b3272ae557a8f12678452e04a15a40b7edace186b0c9ae89f9f",
+    (OTHER, 3, "type-II", 22):
+        "5f08e8312bf002cca85692e919f8c028f51a8e9f8e7a27812b7ff93b4f3a3e33",
+    (OTHER, 4, "generic-trace-zero", 23):
+        "8b9272901b897992e1bb2aadc50a8e5895bd71490ca5895dd383ac08cfd32586",
+    (OTHER, 4, "type-II", 24):
+        "00c1fb9f7f1dcd007a6ccba69d0d5e07cb96092b21fc49f01f6727f57e29d331",
+}
+
+
+@pytest.mark.parametrize("key", list(DECOMPOSITIONS), ids=lambda k: f"{k[0]}-n{k[1]}-{k[2]}")
+def test_decomposition_digest(key):
+    ab, n, kind, seed = key
+    # type II with lam = 1 and the default image eigenvalue -n: zero supertrace
+    extra = {"lam": Fraction(1)} if kind == "type-II" else {}
+    m = _instance(ab, n, kind, seed, **extra)
+    assert is_sum_of_two_nilpotents(m).answer
+    dec = decompose_two_nilpotents(m)
+    assert _digest(jsonio.decomposition_to_json(dec)) == DECOMPOSITIONS[key]
+
+
+# label -> (instance, digest of decision_to_json, digest of classification_to_json)
+REFUSALS = {
+    "type-I": (
+        (HAMILTON, 3, "type-I", 31, {"lam": Fraction(2)}),
+        "de84be797ef6fc5a2dc4c6a3f2542a12c679c14f731c93ce04560a907551655e",
+        "a9912fa2965d1331d4757d2a21d05dbc17488e69308d200bc428e37a0c5c9c96",
+    ),
+    "type-II-nonzero": (
+        (HAMILTON, 4, "type-II", 32, {"lam": Fraction(1), "rep": (-3, 1, 0, 0)}),
+        "c03861abfb3b1fb1a49c8a0e987f87e656d1c28eb17bc4912646b51bcebe44f7",
+        "354b4db9f1e0685f8491b2508c85d2ccfad6e5c35af12903be33d4febcda6ca4",
+    ),
+    "type-III": (
+        (OTHER, 3, "type-III", 33, {}),
+        "3573322b7009f2db7d91077bf9868e474eec6f9b27fb4856fe72543a7c019cdb",
+        "f1f2369266bef327b3060e7c3faa81c3664f6abf5d8bf17d27abde067ccb3d78",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(REFUSALS))
+def test_refusal_digests(label):
+    (ab, n, kind, seed, extra), want_decision, want_classification = REFUSALS[label]
+    m = _instance(ab, n, kind, seed, **dict(extra))
+    decision = is_sum_of_two_nilpotents(m)
+    assert not decision.answer
+    assert _digest(jsonio.decision_to_json(decision)) == want_decision
+    assert _digest(jsonio.classification_to_json(classify(m))) == want_classification
