@@ -74,6 +74,7 @@ class Decision:
     type_ii: Optional[TypeIIData] = None
     type_iii: Optional[DiagonalizationCertificate] = None
     note: str = ""
+    classification: Optional[Classification] = None  # the one pass that decided
 
 
 def detect_type_I(m: QMatrix) -> Optional[Fraction]:
@@ -109,7 +110,6 @@ def _assemble_type_ii(m: QMatrix, lam: Fraction, col: QVector, row: QVector) -> 
     q_a = m.algebra.zero()
     for r_t, c_t in zip(row, col):
         q_a = q_a + r_t * c_t
-    assert a.apply(col) == col.scale_right(q_a)
     rep = m.algebra.scalar(n * lam) + q_a
     return TypeIIData(lam, a, col, row, q_a, ConjClass.of(rep))
 
@@ -172,13 +172,14 @@ def detect_type_II(m: QMatrix) -> Optional[TypeIIData]:
     else:
         u, v = m[t0, t0], m[s0, s0]
         a_coef = rinv
-        b_coef = -(u * rinv + rinv * v)
-        c_coef = u * rinv * v - m[t0, s0]
+        u_rinv = u * rinv
+        b_coef = -(u_rinv + rinv * v)
+        c_coef = u_rinv * v - m[t0, s0]
         coords = list(zip(a_coef.coords(), b_coef.coords(), c_coef.coords()))
         informative = next((t for t in coords if t[0] != 0 or t[1] != 0), None)
-        candidates = (
-            _rational_quadratic_roots(*informative) if informative is not None else []
-        )
+        roots = _rational_quadratic_roots(*informative) if informative is not None else []
+        # rank(M - lam*I) = 1 exactly when lam solves the whole quaternionic quadratic
+        candidates = [lam for lam in roots if ((a_coef * lam + b_coef) * lam + c_coef).is_zero()]
 
     for lam in candidates:
         lam_s = alg.scalar(lam)
@@ -225,64 +226,58 @@ def classify(m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET) -> Classificati
 def is_sum_of_two_nilpotents(
     m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET
 ) -> Decision:
-    """Decide whether M splits as N1 + N2 with both summands nilpotent."""
+    """Decide whether M splits as N1 + N2 with both summands nilpotent.
+
+    One `classify` pass; for n >= 3 its verdict and the reduced trace decide,
+    while n = 1 and n = 2 follow their own rules once zero and type I are out.
+    """
     if not m.is_square():
         raise DimensionMismatchError("decision needs a square matrix")
+    cls = classify(m, sqrt_budget=sqrt_budget)
     n = m.rows
     trace = reduced_trace(m)
-    if m.is_zero():
-        return Decision(True, Reason.YES, trace)
 
-    lam = detect_type_I(m)
-    if lam is not None:
-        return Decision(False, Reason.TYPE_I, trace, type_i_scalar=lam)
+    def decided(answer: bool, reason: Reason, **evidence) -> Decision:
+        return Decision(answer, reason, trace, classification=cls, **evidence)
+
+    if cls.verdict == Verdict.ZERO:
+        return decided(True, Reason.YES)
+    if cls.verdict == Verdict.TYPE_I:
+        return decided(False, Reason.TYPE_I, type_i_scalar=cls.type_i_scalar)
 
     if n == 1:
-        q = m[0, 0]
-        if q.reduced_trace() != 0:
-            return Decision(False, Reason.TRACE_NONZERO, trace)
-        return Decision(
-            False, Reason.N1_NONZERO, trace, note="1x1: only the zero matrix splits"
-        )
+        if trace != 0:
+            return decided(False, Reason.TRACE_NONZERO)
+        return decided(False, Reason.N1_NONZERO, note="1x1: only the zero matrix splits")
 
     if n == 2:
         if trace != 0:
-            return Decision(False, Reason.TRACE_NONZERO, trace)
+            return decided(False, Reason.TRACE_NONZERO)
         cert_sq = unispectral_diagonalizable(m * m, sqrt_budget=sqrt_budget)
         if cert_sq is None:
-            return Decision(
+            return decided(
                 False,
                 Reason.N2_SPECTRAL_OBSTRUCTION,
-                trace,
                 note="square is not unispectral diagonalizable",
             )
         cert_m = unispectral_diagonalizable(m, sqrt_budget=sqrt_budget)
         if cert_m is not None:
             q = cert_m.eigenvalue
             if q.reduced_trace() != 0 or q.is_central():
-                return Decision(
+                return decided(
                     False,
                     Reason.N2_SPECTRAL_OBSTRUCTION,
-                    trace,
                     type_iii=cert_m,
                     note="unispectral diagonalizable with eigenvalue not a noncentral pure",
                 )
-        return Decision(True, Reason.YES, trace)
+        return decided(True, Reason.YES)
 
-    data = detect_type_II(m)
-    if data is not None:
-        if data.supertrace.is_zero():
-            assert trace == 0
-            return Decision(True, Reason.YES, trace, type_ii=data)
-        return Decision(
-            False, Reason.TYPE_II_SUPERTRACE_NONZERO, trace, type_ii=data
-        )
-
-    if n == 3:
-        cert = detect_type_III(m, sqrt_budget=sqrt_budget)
-        if cert is not None:
-            return Decision(False, Reason.TYPE_III, trace, type_iii=cert)
-
+    if cls.verdict == Verdict.TYPE_II:
+        if cls.type_ii.supertrace.is_zero():
+            return decided(True, Reason.YES, type_ii=cls.type_ii)
+        return decided(False, Reason.TYPE_II_SUPERTRACE_NONZERO, type_ii=cls.type_ii)
+    if cls.verdict == Verdict.TYPE_III:
+        return decided(False, Reason.TYPE_III, type_iii=cls.type_iii)
     if trace != 0:
-        return Decision(False, Reason.TRACE_NONZERO, trace)
-    return Decision(True, Reason.YES, trace)
+        return decided(False, Reason.TRACE_NONZERO)
+    return decided(True, Reason.YES)

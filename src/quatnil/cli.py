@@ -1,7 +1,10 @@
 """Command-line interface: classify, decompose, check, gen, selftest.
 
-Exit codes: 0 success / decision yes; 2 parse or invalid-request error;
-3 decision no; 4 the requested algebra is not a division algebra.
+Exit codes: 0 success / decision yes; 1 `check` found the certificate
+INVALID (or `selftest` failed); 2 parse or invalid-request error; 3 decision
+no; 4 the requested algebra is not a division algebra; 5 a bounded search ran
+out of budget (SearchBudgetExceeded); 6 a certificate failed its final check
+(CertificateError, a defect in the library).  Errors print one `error:` line.
 """
 
 from __future__ import annotations
@@ -11,17 +14,27 @@ import json
 import sys
 
 from . import jsonio
-from .classify import Verdict, classify, is_sum_of_two_nilpotents
+from .classify import Verdict, is_sum_of_two_nilpotents
 from .decompose import decompose_two_nilpotents, verify_decomposition
-from .errors import NotDivisionAlgebraError, ParameterError, ParseError
+from .errors import (
+    CertificateError,
+    NotDivisionAlgebraError,
+    ParameterError,
+    ParseError,
+    PreconditionError,
+    SearchBudgetExceeded,
+)
 from .gen import InstanceSpec, generate
 from .qcore import AlgebraParams, rat
 from .selftest import run_selftest
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_NO = 3
 EXIT_SPLIT_ALGEBRA = 4
+EXIT_SEARCH_BUDGET = 5
+EXIT_CERTIFICATE = 6
 
 
 def _load_matrix(path: str):
@@ -53,8 +66,8 @@ def _dump(data: dict, path: str | None):
 
 def cmd_classify(args) -> int:
     m = _load_matrix(args.input)
-    cls = classify(m, sqrt_budget=args.search_budget)
     decision = is_sum_of_two_nilpotents(m, sqrt_budget=args.search_budget)
+    cls = decision.classification
     if args.format == "json":
         _dump(
             {
@@ -98,12 +111,17 @@ def cmd_check(args) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{args.decomposition}: {exc}") from exc
-    dec = jsonio.decomposition_from_json(data)
+    try:
+        dec = jsonio.decomposition_from_json(data)
+    except PreconditionError as exc:  # e.g. P and Pinv are not mutually inverse
+        print("INVALID")
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     if (dec.n1.rows, dec.n1.cols) != (m.rows, m.cols):
         raise ParseError("decomposition shape does not match the matrix")
     good = verify_decomposition(m, dec.n1, dec.n2)
     print("OK" if good else "INVALID")
-    return EXIT_OK if good else 1
+    return EXIT_OK if good else EXIT_FAILED
 
 
 def cmd_gen(args) -> int:
@@ -127,7 +145,7 @@ def cmd_gen(args) -> int:
 def cmd_selftest(args) -> int:
     failures = run_selftest(quick=args.quick, seed=args.seed)
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} criterion failures")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,6 +211,12 @@ def main(argv=None) -> int:
     except (ParseError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except SearchBudgetExceeded as exc:
+        print(f"error: search budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_SEARCH_BUDGET
+    except CertificateError as exc:
+        print(f"error: certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
-"""Constructive two-nilpotent decompositions with verified certificates.
+"""Constructive two-nilpotent decompositions with checked certificates.
 
 Every matrix accepted by the decision procedure is conjugated to a matrix
 with zero diagonal; splitting that into strictly upper and strictly lower
 parts and pulling back through the witness yields the two nilpotent
-summands.  The diagonal-zero reduction works by cases: a spectral basis
-trick for 2x2, a reduction to a rational trace-zero matrix for rank-one
-perturbations of scalars, a companion-basis completion for 3x3, and a
-perturbation-and-recurse step for larger sizes.  No certificate is ever
-returned unverified.
+summands.  The matrix is decided once, and the diagonal-zero reduction
+works by cases on that decision: a spectral basis trick for 2x2, a
+reduction to a rational trace-zero matrix when the decision carries type-II
+data, a companion-basis completion for 3x3, and a perturbation-and-recurse
+step for larger sizes, which hands the accepted block's own decision to the
+recursion.  The reductions build their witnesses without re-checking them.
+Each public function checks the certificate it returns once, with explicit
+tests that `python -O` keeps, and raises CertificateError if a check fails.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .classify import TypeIIData, Verdict, classify, is_sum_of_two_nilpotents
-from .errors import PreconditionError, SearchBudgetExceeded
+from .classify import Decision, TypeIIData, is_sum_of_two_nilpotents
+from .errors import CertificateError, PreconditionError, SearchBudgetExceeded
 from .qcore import DEFAULT_SQRT_BUDGET, AlgebraParams, Quaternion, conjugator, translate_conjugate
 from .qlinalg import (
     QMatrix,
@@ -33,7 +36,7 @@ from .qlinalg import (
     reduced_trace,
     strict_split,
 )
-from .spectral import eigenvectors_for, unispectral_diagonalizable
+from .spectral import checked_witness, eigenvectors_for, unispectral_diagonalizable
 
 #: Number of candidate vectors / perturbation lists tried before giving up.
 DEFAULT_SEARCH_BUDGET = 600
@@ -52,8 +55,6 @@ class Completion2x2Certificate:
     q: Quaternion
     g: Quaternion
     s: Quaternion
-    d_mat: QMatrix
-    p_mat: QMatrix
     summands: tuple[QMatrix, QMatrix]
     target: QMatrix
 
@@ -86,9 +87,9 @@ def field_diag_zero(m: QMatrix) -> SimilarityWitness:
     recurse on the trailing block (its trace stays zero, and over a field of
     characteristic zero a scalar trace-zero block is zero).
     """
-    witness = _field_diag_zero_inner(m)
-    result = conjugate_by(m, witness)
-    assert result.has_zero_diagonal() and result.is_rational()
+    witness, result = _certify(m, _field_diag_zero_inner(m))
+    if not result.is_rational():
+        raise CertificateError("field reduction left the rationals")
     return witness
 
 
@@ -106,36 +107,12 @@ def _field_diag_zero_inner(m: QMatrix) -> SimilarityWitness:
         raise PreconditionError("trace must be zero")
 
     alg = m.algebra
-    candidates = [QVector.unit(n, s, alg) for s in range(n)]
-    candidates += [
-        QVector.unit(n, s, alg) + QVector.unit(n, t, alg)
-        for s in range(n)
-        for t in range(s + 1, n)
-    ]
-    x = next(
-        (
-            v
-            for v in candidates
-            if rank(QMatrix.from_columns([v, m.apply(v)])) == 2
-        ),
-        None,
-    )
-    assert x is not None  # nonscalar rational matrices move some candidate off its line
-    cols = [x, m.apply(x)]
-    for s in range(n):
-        if len(cols) == n:
-            break
-        e = QVector.unit(n, s, alg)
-        if columns_right_independent(cols + [e]):
-            cols.append(e)
-    s_mat = QMatrix.from_columns(cols)
-    base = SimilarityWitness.from_matrix(invert(s_mat))
-    m1 = conjugate_by(m, base)
-    assert m1[0, 0].is_zero() and m1.is_rational()
-    if n == 1:
-        return base
-    sub = m1.submatrix(range(1, n), range(1, n))
-    w_sub = _field_diag_zero_inner(sub)
+    units = _unit_vectors(n, alg)
+    candidates = units + [units[s] + units[t] for s in range(n) for t in range(s + 1, n)]
+    # nonscalar rational matrices move some candidate off its line
+    x = next(v for v in candidates if rank(QMatrix.from_columns([v, m.apply(v)])) == 2)
+    base = _to_basis(_extend([x, m.apply(x)], units))
+    w_sub = _field_diag_zero_inner(conjugate_by(m, base).submatrix(range(1, n), range(1, n)))
     return _embed_witness(w_sub, alg).compose(base)
 
 
@@ -150,7 +127,38 @@ def _embed_witness(w: SimilarityWitness, algebra: AlgebraParams) -> SimilarityWi
             rows.append([zero] + list(mat.entries[r]))
         return QMatrix(rows)
 
-    return SimilarityWitness(embed(w.P), embed(w.Pinv))
+    return SimilarityWitness._trusted(embed(w.P), embed(w.Pinv))
+
+
+def _to_basis(cols: list[QVector]) -> Optional[SimilarityWitness]:
+    """Witness rewriting a matrix in the basis `cols` (P = S^-1, Pinv = S), or None if singular."""
+    s_mat = QMatrix.from_columns(cols)
+    p = invert(s_mat)
+    return None if p is None else SimilarityWitness._trusted(p, s_mat)
+
+
+def _extend(cols: list[QVector], pool: Iterable[QVector]) -> list[QVector]:
+    """`cols` extended greedily from `pool` to a basis of the whole space."""
+    n = cols[0].dim
+    for v in pool:
+        if len(cols) == n:
+            break
+        if columns_right_independent(cols + [v]):
+            cols = cols + [v]
+    return cols
+
+
+def _unit_vectors(n: int, alg: AlgebraParams) -> list[QVector]:
+    return [QVector.unit(n, s, alg) for s in range(n)]
+
+
+def _certify(m: QMatrix, w: SimilarityWitness) -> tuple[SimilarityWitness, QMatrix]:
+    """The boundary check: (P, Pinv) mutually inverse and P*M*Pinv with zero diagonal."""
+    w = checked_witness(w.P, w.Pinv)
+    d = conjugate_by(m, w)
+    if not d.has_zero_diagonal():
+        raise CertificateError("witness does not conjugate the matrix to a zero diagonal")
+    return w, d
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +171,8 @@ def completion_2x2(a: Quaternion, b: Quaternion) -> Completion2x2Certificate:
 
     Requires t(a+b) = 0.  Construction: translate a and -b by q into a
     common class, conjugate by g, and read the completion off the model
-    matrix [[s, s^2], [g, -s]]; all identities are verified before return.
+    matrix [[s, s^2], [g, -s]]; the sum and both square-zero identities are
+    checked before return.
     """
     a._check_same_algebra(b)
     alg = a.algebra
@@ -175,16 +184,12 @@ def completion_2x2(a: Quaternion, b: Quaternion) -> Completion2x2Certificate:
         q = translate_conjugate(a, -b)
         g = conjugator(a + q, -b + q)
     s = a + q
-    assert s == g * (-b + q) * g.inverse() or a == -b
 
     one, zero = alg.one(), alg.zero()
     t_mat = QMatrix([[one, q], [zero, g]])
     t_inv = invert(t_mat)
-    assert t_inv is not None
     base = QMatrix([[a, zero], [one, b]])
-    conj = t_mat * base * t_inv
-    c = conj[0, 1]
-    assert conj == QMatrix([[s, c], [g, -s]])
+    c = (t_mat * base * t_inv)[0, 1]
     delta = (s * s - c) * g
 
     model1 = QMatrix([[s, s * s], [-one, -s]])
@@ -192,17 +197,14 @@ def completion_2x2(a: Quaternion, b: Quaternion) -> Completion2x2Certificate:
     summand1 = t_inv * model1 * t_mat
     summand2 = t_inv * model2 * t_mat
     target = QMatrix([[a, delta], [one, b]])
-    assert summand1 + summand2 == target
-    assert (summand1 * summand1).is_zero() and (summand2 * summand2).is_zero()
+    if not (
+        summand1 + summand2 == target
+        and (summand1 * summand1).is_zero()
+        and (summand2 * summand2).is_zero()
+    ):
+        raise CertificateError("2x2 completion: summands are not square-zero with sum the target")
     return Completion2x2Certificate(
-        delta=delta,
-        q=q,
-        g=g,
-        s=s,
-        d_mat=QMatrix.diagonal([one, g]),
-        p_mat=QMatrix([[one, q], [zero, one]]),
-        summands=(summand1, summand2),
-        target=target,
+        delta=delta, q=q, g=g, s=s, summands=(summand1, summand2), target=target
     )
 
 
@@ -325,59 +327,56 @@ def diag_zero_form(
 
     Precondition: the decision procedure accepts M.  Budget exhaustion in
     the constructive searches raises SearchBudgetExceeded (an enumeration
-    gap, never a mathematical rejection).
+    gap, never a mathematical rejection); a witness that fails its check
+    raises CertificateError.
     """
+    return _decided_diag_zero(m, sqrt_budget, search_budget)[0]
+
+
+def _decided_diag_zero(
+    m: QMatrix, sqrt_budget: int, search_budget: int
+) -> tuple[SimilarityWitness, QMatrix]:
+    """Decide M once, reduce it by that decision, and certify the result."""
     decision = is_sum_of_two_nilpotents(m, sqrt_budget=sqrt_budget)
     if not decision.answer:
         raise PreconditionError(
             f"matrix is not a sum of two nilpotents (reason: {decision.reason.value})"
         )
-    witness = _diag_zero(m, sqrt_budget, search_budget)
-    assert conjugate_by(m, witness).has_zero_diagonal()
-    return witness
+    return _certify(m, _diag_zero(m, decision, sqrt_budget, search_budget))
 
 
-def _diag_zero(m: QMatrix, sqrt_budget: int, search_budget: int) -> SimilarityWitness:
+def _diag_zero(
+    m: QMatrix, decision: Decision, sqrt_budget: int, search_budget: int
+) -> SimilarityWitness:
+    """Zero-diagonal witness for M, by the case its accepting decision names."""
     n = m.rows
     if m.is_zero():
         return SimilarityWitness.identity(n, m.algebra)
     if n == 2:
         return _diag_zero_2x2(m, sqrt_budget, search_budget)
-    cls = classify(m, sqrt_budget=sqrt_budget)
-    if cls.verdict == Verdict.TYPE_II:
-        return _diag_zero_type_ii(m, cls.type_ii)
-    assert cls.verdict == Verdict.GENERIC, f"unexpected verdict {cls.verdict}"
+    if decision.type_ii is not None:
+        return _diag_zero_type_ii(m, decision.type_ii)
     if n == 3:
-        return _diag_zero_3x3(m, sqrt_budget, search_budget)
+        return _diag_zero_3x3(m, search_budget)
     return _diag_zero_large(m, sqrt_budget, search_budget)
 
 
 def _diag_zero_2x2(m: QMatrix, sqrt_budget: int, search_budget: int) -> SimilarityWitness:
     """Basis (x, Mx) for an eigenvector x of M*M gives [[0, q], [1, 0]]."""
     alg = m.algebra
-    cert = unispectral_diagonalizable(m * m, sqrt_budget=sqrt_budget)
-    assert cert is not None  # guaranteed by the accepted decision
-    q = cert.eigenvalue
+    q = unispectral_diagonalizable(m * m, sqrt_budget=sqrt_budget).eigenvalue
     if q.is_central():
         # M*M = q*I, so every nonzero vector is an eigenvector of the square.
-        candidates = list(_vector_candidates(2, alg, search_budget))
-        assert m * m == QMatrix.scalar(2, q, alg)
+        candidates = _vector_candidates(2, alg, search_budget)
     else:
         basis = eigenvectors_for(m * m, q).basis
         candidates = list(basis)
         candidates += [u + v for s, u in enumerate(basis) for v in basis[s + 1 :]]
         candidates += [u - v for s, u in enumerate(basis) for v in basis[s + 1 :]]
     for x in candidates:
-        if x.is_zero():
-            continue
-        mx = m.apply(x)
-        if rank(QMatrix.from_columns([x, mx])) != 2:
-            continue
-        s_mat = QMatrix.from_columns([x, mx])
-        witness = SimilarityWitness.from_matrix(invert(s_mat))
-        d = conjugate_by(m, witness)
-        assert d == QMatrix([[alg.zero(), q], [alg.one(), alg.zero()]])
-        return witness
+        witness = _to_basis([x, m.apply(x)])
+        if witness is not None:
+            return witness
     raise SearchBudgetExceeded("2x2 reduction: no independent (x, Mx) pair found")
 
 
@@ -389,29 +388,15 @@ def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> SimilarityWitness:
     """
     n = m.rows
     alg = m.algebra
-    assert data.supertrace.is_zero()
-    mu = data.image_eigenvalue
-    assert mu.is_central() and mu.w == -n * data.lam
-    a_mat = data.rank_one
     c = data.column
-    if not mu.is_zero():
-        cols = [c] + kernel_basis(a_mat)
+    if not data.image_eigenvalue.is_zero():
+        cols = [c] + kernel_basis(data.rank_one)
     else:
         t0 = next(t for t in range(n) if not data.row[t].is_zero())
         preimage = QVector.unit(n, t0, alg).scale_right(data.row[t0].inverse())
-        assert a_mat.apply(preimage) == c
-        cols = [c, preimage]
-        for vec in kernel_basis(a_mat):
-            if len(cols) == n:
-                break
-            if columns_right_independent(cols + [vec]):
-                cols.append(vec)
-    assert len(cols) == n
-    s_mat = QMatrix.from_columns(cols)
-    base = SimilarityWitness.from_matrix(invert(s_mat))
-    m1 = conjugate_by(m, base)
-    assert m1.is_rational() and reduced_trace(m1) == 0
-    w_field = _field_diag_zero_inner(m1)
+        cols = _extend([c, preimage], kernel_basis(data.rank_one))
+    base = _to_basis(cols)
+    w_field = _field_diag_zero_inner(conjugate_by(m, base))
     return w_field.compose(base)
 
 
@@ -423,11 +408,9 @@ def _square_zero_pair_witness(k: QMatrix, a_mat: QMatrix, b_mat: QMatrix) -> Sim
     to a strictly triangular representation.
     """
     alg = k.algebra
-    assert (a_mat * a_mat).is_zero() and (b_mat * b_mat).is_zero()
-    assert a_mat + b_mat == k
     if k.is_zero():
         return SimilarityWitness.identity(2, alg)
-    basis_pool = [QVector.unit(2, 0, alg), QVector.unit(2, 1, alg)]
+    basis_pool = _unit_vectors(2, alg)
     if a_mat.is_zero() or b_mat.is_zero():
         single = b_mat if a_mat.is_zero() else a_mat
         v = next(u for u in basis_pool if not single.apply(u).is_zero())
@@ -440,109 +423,77 @@ def _square_zero_pair_witness(k: QMatrix, a_mat: QMatrix, b_mat: QMatrix) -> Sim
         else:
             z = next(u for u in basis_pool if columns_right_independent([x, u]))
             cols = [x, z]
-    witness = SimilarityWitness.from_matrix(invert(QMatrix.from_columns(cols)))
-    assert conjugate_by(k, witness).has_zero_diagonal()
-    return witness
+    return _to_basis(cols)
 
 
-def _diag_zero_3x3(m: QMatrix, sqrt_budget: int, search_budget: int) -> SimilarityWitness:
-    """Companion basis (x, Mx, M^2 x + x*delta) with delta from the 2x2 completion."""
+def _diag_zero_3x3(m: QMatrix, search_budget: int) -> SimilarityWitness:
+    """Companion basis (x, Mx, M^2 x + x*delta) with delta from the 2x2 completion.
+
+    In that basis the first diagonal entry is zero and the trailing 2x2
+    block is the completion's target, whose square-zero summands give the
+    rest of the witness.
+    """
     alg = m.algebra
-    x = None
-    for cand in _vector_candidates(3, alg, search_budget):
-        mx = m.apply(cand)
+    for x in _vector_candidates(3, alg, search_budget):
+        mx = m.apply(x)
         m2x = m.apply(mx)
-        if rank(QMatrix.from_columns([cand, mx, m2x])) == 3:
-            x = cand
+        cyclic = _to_basis([x, mx, m2x])
+        if cyclic is not None:
             break
-    if x is None:
+    else:
         raise SearchBudgetExceeded("3x3 reduction: no cyclic vector found in budget")
-    mx = m.apply(x)
-    m2x = m.apply(mx)
-    s0 = QMatrix.from_columns([x, mx, m2x])
-    companion = conjugate_by(m, SimilarityWitness.from_matrix(invert(s0)))
-    a_q = companion[2, 2]
-    b_q = companion[1, 2]
-    assert a_q.reduced_trace() == 0
-    completion = completion_2x2(alg.zero(), a_q)
-    delta = completion.delta - b_q
-
-    s_mat = QMatrix.from_columns([x, mx, m2x + x.scale_right(delta)])
-    base = SimilarityWitness.from_matrix(invert(s_mat))
-    m1 = conjugate_by(m, base)
-    assert m1[0, 0].is_zero()
-    block = m1.submatrix(range(1, 3), range(1, 3))
-    assert block == completion.target
-    w_block = _square_zero_pair_witness(block, *completion.summands)
+    companion = conjugate_by(m, cyclic)
+    completion = completion_2x2(alg.zero(), companion[2, 2])
+    delta = completion.delta - companion[1, 2]
+    base = _to_basis([x, mx, m2x + x.scale_right(delta)])
+    w_block = _square_zero_pair_witness(completion.target, *completion.summands)
     return _embed_witness(w_block, alg).compose(base)
 
 
 def _diag_zero_large(m: QMatrix, sqrt_budget: int, search_budget: int) -> SimilarityWitness:
-    """n >= 4: zero the corner, perturb the trailing block until it is accepted, recurse."""
+    """n >= 4: zero the corner, perturb the trailing block until it is accepted, recurse.
+
+    The basis (x, Mx, ...) makes the first column e_2 and the corner zero.
+    Conjugating by the shear with first row (1, 0, q_1, ..., q_{n-2}) adds
+    the perturbation to the first row of the trailing block and keeps the
+    corner zero.
+    """
     n = m.rows
     alg = m.algebra
-    x = None
-    for cand in _vector_candidates(n, alg, search_budget):
-        if rank(QMatrix.from_columns([cand, m.apply(cand)])) == 2:
-            x = cand
-            break
+    x = next(
+        (
+            cand
+            for cand in _vector_candidates(n, alg, search_budget)
+            if rank(QMatrix.from_columns([cand, m.apply(cand)])) == 2
+        ),
+        None,
+    )
     if x is None:
         raise SearchBudgetExceeded("reduction: no vector off its own line found")
-    cols = [x, m.apply(x)]
-    for s in range(n):
-        if len(cols) == n:
-            break
-        e = QVector.unit(n, s, alg)
-        if columns_right_independent(cols + [e]):
-            cols.append(e)
-    base = SimilarityWitness.from_matrix(invert(QMatrix.from_columns(cols)))
-    m1 = conjugate_by(m, base)
-    assert m1[0, 0].is_zero()
-    assert m1.column(0) == QVector.unit(n, 1, alg)
-    trailing = m1.submatrix(range(1, n), range(1, n))
-    assert reduced_trace(trailing) == 0
+    base = _to_basis(_extend([x, m.apply(x)], _unit_vectors(n, alg)))
+    trailing = conjugate_by(m, base).submatrix(range(1, n), range(1, n))
 
-    one, zero = alg.one(), alg.zero()
+    def shear(top) -> QMatrix:
+        rows = [list(row) for row in QMatrix.identity(n, alg).entries]
+        rows[0][2:] = top
+        return QMatrix(rows)
+
+    zero = alg.zero()
     for qlist in _perturbation_lists(n - 2, alg, search_budget):
         bump = QMatrix(
             [[zero, *qlist]] + [[zero] * (n - 1) for _ in range(n - 2)]
         )
         candidate = trailing + bump
         try:
-            accepted = is_sum_of_two_nilpotents(candidate, sqrt_budget=sqrt_budget).answer
+            decision = is_sum_of_two_nilpotents(candidate, sqrt_budget=sqrt_budget)
         except SearchBudgetExceeded:
             # undecided within budget; any accepted perturbation works, try the next
             continue
-        if not accepted:
+        if not decision.answer:
             continue
-        e_mat = QMatrix(
-            [
-                [
-                    one
-                    if r == c
-                    else (qlist[c - 2] if r == 0 and c >= 2 else zero)
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
-        e_inv = QMatrix(
-            [
-                [
-                    one
-                    if r == c
-                    else (-qlist[c - 2] if r == 0 and c >= 2 else zero)
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
-        shear = SimilarityWitness(e_inv, e_mat)
-        m2 = conjugate_by(m1, shear)
-        assert m2[0, 0].is_zero()
-        assert m2.submatrix(range(1, n), range(1, n)) == candidate
-        w_sub = _diag_zero(candidate, sqrt_budget, search_budget)
-        return _embed_witness(w_sub, alg).compose(shear.compose(base))
+        sheared = SimilarityWitness._trusted(shear([-q for q in qlist]), shear(qlist))
+        w_sub = _diag_zero(candidate, decision, sqrt_budget, search_budget)
+        return _embed_witness(w_sub, alg).compose(sheared.compose(base))
     raise SearchBudgetExceeded("reduction: no accepted trailing perturbation in budget")
 
 
@@ -559,14 +510,15 @@ def decompose_two_nilpotents(
     """Two nilpotent matrices summing to M, with the similarity certificate.
 
     The zero-diagonal conjugate splits into strictly upper and strictly
-    lower triangular parts, which pull back through the witness; the sum
-    identity and both nilpotencies are verified exactly before returning.
+    lower triangular parts; N1 is the pullback of the upper part and
+    N2 = M - N1 that of the lower one.  The witness pair, the zero diagonal
+    and `verify_decomposition` are checked before returning, and a failed
+    check raises CertificateError.
     """
-    witness = diag_zero_form(m, sqrt_budget=sqrt_budget, search_budget=search_budget)
-    d = conjugate_by(m, witness)
-    upper, lower = strict_split(d)
-    back = witness.inverse()
-    n1 = conjugate_by(upper, back)
-    n2 = conjugate_by(lower, back)
-    assert verify_decomposition(m, n1, n2)
+    witness, d = _decided_diag_zero(m, sqrt_budget, search_budget)
+    upper, _ = strict_split(d)
+    n1 = conjugate_by(upper, witness.inverse())
+    n2 = m - n1
+    if not verify_decomposition(m, n1, n2):
+        raise CertificateError("decomposition failed the independent check")
     return TwoNilpotentDecomposition(n1=n1, n2=n2, witness=witness, diag_zero=d)

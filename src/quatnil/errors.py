@@ -40,3 +40,12 @@ class SearchBudgetExceeded(QuatnilError, RuntimeError):
     yes (or is guaranteed), only the bounded construction failed to find a
     witness within the configured height/enumeration budget.
     """
+
+
+class CertificateError(QuatnilError, RuntimeError):
+    """A certificate failed the final check before it would have been returned.
+
+    This is a defect in a construction, never a property of the input: no
+    public function returns a certificate that has not passed its check, and
+    the check is an explicit test that `python -O` keeps.
+    """

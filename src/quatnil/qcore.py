@@ -370,29 +370,6 @@ class Quaternion:
         return f"<{self} in {self.algebra}>"
 
 
-# Operation-style aliases matching the public contract.
-
-
-def q_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-
-def q_conj(q: Quaternion) -> Quaternion:
-    return q.conjugate()
-
-
-def q_norm(q: Quaternion) -> Fraction:
-    return q.norm()
-
-
-def q_trace(q: Quaternion) -> Fraction:
-    return q.reduced_trace()
-
-
-def q_inv(q: Quaternion) -> Quaternion:
-    return q.inverse()
-
-
 def quadratic_identity_check(q: Quaternion) -> bool:
     """Whether q*q == t(q)*q - N(q); holds for every quaternion."""
     rhs = q * q.reduced_trace() - q.algebra.scalar(q.norm())

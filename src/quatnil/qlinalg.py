@@ -264,27 +264,6 @@ class QMatrix:
         return f"[{body}]"
 
 
-# ---------------------------------------------------------------------------
-# Operation-style API
-# ---------------------------------------------------------------------------
-
-
-def m_add(a: QMatrix, b: QMatrix) -> QMatrix:
-    return a + b
-
-
-def m_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    return a * b
-
-
-def m_apply(m: QMatrix, x: QVector) -> QVector:
-    return m.apply(x)
-
-
-def m_scale_right(m: QMatrix, c: ScalarLike) -> QMatrix:
-    return m.scale_right(c)
-
-
 def row_reduce(m: QMatrix) -> tuple[QMatrix, QMatrix, int]:
     """Reduced row echelon form via left row operations.
 

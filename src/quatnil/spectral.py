@@ -5,8 +5,9 @@ set is a Q-linear subspace of the coordinate space, computed exactly as a
 rational linear system in the 4n coordinates.  Unispectral diagonalizability
 is decided through a chain (central quadratic relation, existence of a class
 representative, constructive eigenbasis) and the resulting certificate is
-verified exactly before it is returned, so a defect in the chain can only
-surface as a loud failure, never as a wrong positive answer.
+checked exactly before it is returned (CertificateError if the check fails),
+so a defect in the chain can only surface as a loud failure, never as a
+wrong positive answer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import ratlin
-from .errors import DimensionMismatchError
+from .errors import CertificateError, DimensionMismatchError, PreconditionError
 from .qcore import (
     DEFAULT_SQRT_BUDGET,
     Quaternion,
@@ -51,6 +52,14 @@ class DiagonalizationCertificate:
 
     eigenvalue: Quaternion
     witness: SimilarityWitness
+
+
+def checked_witness(p: QMatrix, pinv: QMatrix) -> SimilarityWitness:
+    """(P, Pinv) through the checked constructor; CertificateError unless mutually inverse."""
+    try:
+        return SimilarityWitness(p, pinv)
+    except PreconditionError as exc:
+        raise CertificateError(f"similarity witness: {exc}") from exc
 
 
 def _vector_from_coords(coords: list[Fraction], n: int, algebra) -> QVector:
@@ -90,8 +99,6 @@ def eigenvectors_for(m: QMatrix, q: Quaternion) -> EigenSolution:
     basis = [
         _vector_from_coords(vec, m.rows, m.algebra) for vec in ratlin.kernel(system)
     ]
-    for x in basis:
-        assert m.apply(x) == x.scale_right(q)
     return EigenSolution(q, basis)
 
 
@@ -153,9 +160,7 @@ def quadratic_relation(m: QMatrix) -> Optional[QuadraticRelation]:
     sol = ratlin.solve(rows, rhs)
     if sol is None:
         return None
-    rel = QuadraticRelation(sol[0], sol[1])
-    assert m2 == m.scale_right(rel.trace) - QMatrix.scalar(m.rows, rel.norm, m.algebra)
-    return rel
+    return QuadraticRelation(sol[0], sol[1])
 
 
 def diagonalize_2x2_jordanlike(a: Quaternion, b: Quaternion) -> Optional[SimilarityWitness]:
@@ -166,9 +171,10 @@ def diagonalize_2x2_jordanlike(a: Quaternion, b: Quaternion) -> Optional[Similar
     algebra = a.algebra
     t = QMatrix([[algebra.one(), c], [algebra.zero(), algebra.one()]])
     tinv = QMatrix([[algebra.one(), -c], [algebra.zero(), algebra.one()]])
-    witness = SimilarityWitness(t, tinv)
+    witness = checked_witness(t, tinv)
     m = QMatrix([[a, b], [algebra.zero(), a]])
-    assert conjugate_by(m, witness) == QMatrix.diagonal([a, a])
+    if conjugate_by(m, witness) != QMatrix.diagonal([a, a]):
+        raise CertificateError("the shear does not diagonalize [[a, b], [0, a]]")
     return witness
 
 
@@ -195,7 +201,8 @@ def unispectral_diagonalizable(
     rational square (else the would-be eigenvalue is central and M would be
     scalar), a class representative q = t/2 + s must exist in the algebra,
     and the rational solution space of M X = X q must right-span the whole
-    column space.  The certificate is verified exactly before returning.
+    column space.  The certificate is checked exactly before returning, and a
+    failed check raises CertificateError.
     """
     if not m.is_square():
         raise DimensionMismatchError("diagonalization needs a square matrix")
@@ -221,7 +228,12 @@ def unispectral_diagonalizable(
         return None
     pinv_mat = QMatrix.from_columns(picked)
     p_mat = invert(pinv_mat)
-    assert p_mat is not None
-    witness = SimilarityWitness(p_mat, pinv_mat)
-    assert conjugate_by(m, witness) == QMatrix.diagonal([q] * n)
-    return DiagonalizationCertificate(q, witness)
+    # P*Pinv = I forces Pinv*P = I (square matrices over a division ring), and
+    # M*Pinv = Pinv*q (eigenvector columns) then gives P*M*Pinv = Diag(q, ..., q)
+    if (
+        p_mat is None
+        or p_mat * pinv_mat != QMatrix.identity(n, m.algebra)
+        or m * pinv_mat != pinv_mat.scale_right(q)
+    ):
+        raise CertificateError("the eigenbasis does not diagonalize the matrix")
+    return DiagonalizationCertificate(q, SimilarityWitness._trusted(p_mat, pinv_mat))

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,9 @@ from quatnil.qcore import AlgebraParams
 from quatnil.qlinalg import QMatrix
 
 from conftest import random_quaternion
+
+classify_module = importlib.import_module("quatnil.classify")
+decompose_module = importlib.import_module("quatnil.decompose")
 
 
 class TestSerialization:
@@ -111,6 +115,56 @@ class TestCli:
         out_path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["check", mat_path, str(out_path)]) != 0
+
+    def test_check_tampered_witness_is_invalid(self, H, tmp_path, capsys):
+        m = QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]])
+        mat_path = write_matrix(tmp_path / "m.json", m)
+        out_path = tmp_path / "dec.json"
+        main(["decompose", "-i", mat_path, "-o", str(out_path)])
+        data = json.loads(out_path.read_text())
+        entry = data["P"]["entries"][0][0]
+        entry[0] = str(Fraction(entry[0]) + 1)
+        out_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", mat_path, str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "INVALID"
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_classify_runs_one_classification(self, H, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = classify_module.classify
+
+        def counted(m, *args, **kwargs):
+            calls.append(m)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "classify", counted)
+        path = write_matrix(tmp_path / "m.json", QMatrix.diagonal([H.i()] * 3))
+        assert main(["classify", "-i", path, "--format", "json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert data["classification"]["verdict"] == "TypeIII"
+        assert len(calls) == 1
+
+    def test_search_budget_exit_code(self, tmp_path, capsys):
+        # Diag(q, q, q) with q = 1001i + 997k over (-11,-13): the square root
+        # behind the type-III test needs a height far above 1
+        alg = AlgebraParams(Fraction(-11), Fraction(-13))
+        q = alg.quat(0, 1001, 0, 997)
+        path = write_matrix(tmp_path / "m.json", QMatrix.diagonal([q] * 3))
+        rc = main(["classify", "-i", path, "--search-budget", "1"])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_certificate_error_exit_code(self, H, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(decompose_module, "verify_decomposition", lambda *args: False)
+        path = write_matrix(tmp_path / "m.json", QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]]))
+        rc = main(["decompose", "-i", path, "-o", str(tmp_path / "dec.json")])
+        err = capsys.readouterr().err
+        assert rc == 6
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "dec.json").exists()
 
     def test_decompose_refuses_type_iii(self, H, tmp_path, capsys):
         m = QMatrix.diagonal([H.i()] * 3)

@@ -1,5 +1,10 @@
+import importlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,8 @@ from quatnil.decompose import (
 )
 
 from conftest import random_quaternion
+
+classify_module = importlib.import_module("quatnil.classify")
 
 
 def rational_matrix(rng, H, n, h=4):
@@ -184,6 +191,50 @@ class TestDecompose:
         d1 = decompose_two_nilpotents(m)
         d2 = decompose_two_nilpotents(m)
         assert d1.n1 == d2.n1 and d1.n2 == d2.n2 and d1.witness.P == d2.witness.P
+
+    def test_failed_check_raises_under_optimize(self):
+        # python -O strips asserts; the certificate check must not be one
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = textwrap.dedent(
+            """
+            import quatnil.decompose as d
+            from quatnil.errors import CertificateError
+            from quatnil.qcore import hamilton_algebra
+            from quatnil.qlinalg import QMatrix
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            d.verify_decomposition = lambda *args: False
+            H = hamilton_algebra()
+            try:
+                d.decompose_two_nilpotents(QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]]))
+            except CertificateError:
+                print("raised")
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
+    def test_decides_once_and_never_classifies_again(self, H, monkeypatch):
+        calls = []
+        original = classify_module.classify
+
+        def counted(m, *args, **kwargs):
+            calls.append(m)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "classify", counted)
+        m = QMatrix([[H.zero(), H.i(), H.j()], [H.i(), H.zero(), H.k()], [H.one(), H.j(), H.zero()]])
+        dec = decompose_two_nilpotents(m)
+        assert verify_decomposition(m, dec.n1, dec.n2)
+        assert calls == [m]
 
     def test_witness_and_form_fields(self, H):
         m = QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]])
