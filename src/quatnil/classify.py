@@ -75,6 +75,9 @@ class Decision:
     type_iii: Optional[DiagonalizationCertificate] = None
     note: str = ""
     classification: Optional[Classification] = None  # the one pass that decided
+    # n = 2 yes: the certificate of M*M that decided it, which the 2x2 reduction
+    # reads; it is evidence for the construction, not part of the report
+    square_certificate: Optional[DiagonalizationCertificate] = None
 
 
 def detect_type_I(m: QMatrix) -> Optional[Fraction]:
@@ -270,7 +273,7 @@ def is_sum_of_two_nilpotents(
                     type_iii=cert_m,
                     note="unispectral diagonalizable with eigenvalue not a noncentral pure",
                 )
-        return decided(True, Reason.YES)
+        return decided(True, Reason.YES, square_certificate=cert_sq)
 
     if cls.verdict == Verdict.TYPE_II:
         if cls.type_ii.supertrace.is_zero():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .classify import Decision, TypeIIData, is_sum_of_two_nilpotents
 from .errors import CertificateError, PreconditionError, SearchBudgetExceeded
@@ -27,8 +27,8 @@ from .qlinalg import (
     QMatrix,
     QVector,
     SimilarityWitness,
-    columns_right_independent,
     conjugate_by,
+    independent_subfamily,
     invert,
     is_nilpotent,
     kernel_basis,
@@ -36,7 +36,7 @@ from .qlinalg import (
     reduced_trace,
     strict_split,
 )
-from .spectral import checked_witness, eigenvectors_for, unispectral_diagonalizable
+from .spectral import checked_witness, eigenvectors_for
 
 #: Number of candidate vectors / perturbation lists tried before giving up.
 DEFAULT_SEARCH_BUDGET = 600
@@ -111,7 +111,7 @@ def _field_diag_zero_inner(m: QMatrix) -> SimilarityWitness:
     candidates = units + [units[s] + units[t] for s in range(n) for t in range(s + 1, n)]
     # nonscalar rational matrices move some candidate off its line
     x = next(v for v in candidates if rank(QMatrix.from_columns([v, m.apply(v)])) == 2)
-    base = _to_basis(_extend([x, m.apply(x)], units))
+    base = _to_basis(independent_subfamily([x, m.apply(x), *units]))
     w_sub = _field_diag_zero_inner(conjugate_by(m, base).submatrix(range(1, n), range(1, n)))
     return _embed_witness(w_sub, alg).compose(base)
 
@@ -135,17 +135,6 @@ def _to_basis(cols: list[QVector]) -> Optional[SimilarityWitness]:
     s_mat = QMatrix.from_columns(cols)
     p = invert(s_mat)
     return None if p is None else SimilarityWitness._trusted(p, s_mat)
-
-
-def _extend(cols: list[QVector], pool: Iterable[QVector]) -> list[QVector]:
-    """`cols` extended greedily from `pool` to a basis of the whole space."""
-    n = cols[0].dim
-    for v in pool:
-        if len(cols) == n:
-            break
-        if columns_right_independent(cols + [v]):
-            cols = cols + [v]
-    return cols
 
 
 def _unit_vectors(n: int, alg: AlgebraParams) -> list[QVector]:
@@ -353,7 +342,7 @@ def _diag_zero(
     if m.is_zero():
         return SimilarityWitness.identity(n, m.algebra)
     if n == 2:
-        return _diag_zero_2x2(m, sqrt_budget, search_budget)
+        return _diag_zero_2x2(m, decision, search_budget)
     if decision.type_ii is not None:
         return _diag_zero_type_ii(m, decision.type_ii)
     if n == 3:
@@ -361,10 +350,13 @@ def _diag_zero(
     return _diag_zero_large(m, sqrt_budget, search_budget)
 
 
-def _diag_zero_2x2(m: QMatrix, sqrt_budget: int, search_budget: int) -> SimilarityWitness:
-    """Basis (x, Mx) for an eigenvector x of M*M gives [[0, q], [1, 0]]."""
+def _diag_zero_2x2(m: QMatrix, decision: Decision, search_budget: int) -> SimilarityWitness:
+    """Basis (x, Mx) for an eigenvector x of M*M gives [[0, q], [1, 0]].
+
+    q is the eigenvalue of the certificate for M*M that the decision built.
+    """
     alg = m.algebra
-    q = unispectral_diagonalizable(m * m, sqrt_budget=sqrt_budget).eigenvalue
+    q = decision.square_certificate.eigenvalue
     if q.is_central():
         # M*M = q*I, so every nonzero vector is an eigenvector of the square.
         candidates = _vector_candidates(2, alg, search_budget)
@@ -394,7 +386,7 @@ def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> SimilarityWitness:
     else:
         t0 = next(t for t in range(n) if not data.row[t].is_zero())
         preimage = QVector.unit(n, t0, alg).scale_right(data.row[t0].inverse())
-        cols = _extend([c, preimage], kernel_basis(data.rank_one))
+        cols = independent_subfamily([c, preimage, *kernel_basis(data.rank_one)])
     base = _to_basis(cols)
     w_field = _field_diag_zero_inner(conjugate_by(m, base))
     return w_field.compose(base)
@@ -416,13 +408,8 @@ def _square_zero_pair_witness(k: QMatrix, a_mat: QMatrix, b_mat: QMatrix) -> Sim
         v = next(u for u in basis_pool if not single.apply(u).is_zero())
         cols = [single.apply(v), v]
     else:
-        x = kernel_basis(b_mat)[0]
-        y = kernel_basis(a_mat)[0]
-        if columns_right_independent([x, y]):
-            cols = [x, y]
-        else:
-            z = next(u for u in basis_pool if columns_right_independent([x, u]))
-            cols = [x, z]
+        x, y = kernel_basis(b_mat)[0], kernel_basis(a_mat)[0]
+        cols = independent_subfamily([x, y, *basis_pool])
     return _to_basis(cols)
 
 
@@ -470,7 +457,7 @@ def _diag_zero_large(m: QMatrix, sqrt_budget: int, search_budget: int) -> Simila
     )
     if x is None:
         raise SearchBudgetExceeded("reduction: no vector off its own line found")
-    base = _to_basis(_extend([x, m.apply(x)], _unit_vectors(n, alg)))
+    base = _to_basis(independent_subfamily([x, m.apply(x), *_unit_vectors(n, alg)]))
     trailing = conjugate_by(m, base).submatrix(range(1, n), range(1, n))
 
     def shear(top) -> QMatrix:

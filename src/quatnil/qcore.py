@@ -20,6 +20,7 @@ from typing import Iterator, Optional, Union
 from . import ratlin
 from .errors import (
     AlgebraMismatchError,
+    CertificateError,
     NotDivisionAlgebraError,
     ObstructionError,
     ParameterError,
@@ -309,6 +310,12 @@ class Quaternion:
             return self * other
         return NotImplemented
 
+    def __rtruediv__(self, other):
+        """c / q = c * q^-1 for a rational c, so 1 / q is the inverse."""
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
+
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z, self.algebra)
 
@@ -483,7 +490,8 @@ def conjugator(p: Quaternion, q: Quaternion) -> Quaternion:
     system = [[rq[r][c] - lp[r][c] for c in range(4)] for r in range(4)]
     basis = ratlin.kernel(system)
     g = _from_coords(basis[0], p.algebra)
-    assert g * q == p * g and not g.is_zero()
+    if g.is_zero() or g * q != p * g:
+        raise CertificateError(f"conjugator: g = {g} does not conjugate {q} to {p}")
     return g
 
 
@@ -502,7 +510,8 @@ def sylvester_solve(p: Quaternion, q: Quaternion, d: Quaternion) -> Optional[Qua
     if sol is None:
         return None
     c = _from_coords(sol, p.algebra)
-    assert p * c - c * q == d
+    if p * c - c * q != d:
+        raise CertificateError(f"sylvester_solve: c = {c} does not solve p*c - c*q = d")
     return c
 
 
@@ -579,7 +588,8 @@ def translate_conjugate(p: Quaternion, q: Quaternion) -> Quaternion:
         r = _from_coords(vec, p.algebra)
         if (p + r).is_central() or (q + r).is_central():
             continue
-        assert are_conjugate(p + r, q + r)
+        if not are_conjugate(p + r, q + r):
+            raise CertificateError(f"translate_conjugate: {p} + r and {q} + r are not conjugate")
         return r
     raise AssertionError("unreachable: two lines cannot cover a hyperplane")
 
@@ -598,7 +608,8 @@ def pure_as_commutator(p: Quaternion) -> tuple[Quaternion, Quaternion]:
     r = translate_conjugate(p, zero)
     g = conjugator(p + r, r)
     u, v = g * r, g.inverse()
-    assert u * v - v * u == p
+    if u * v - v * u != p:
+        raise CertificateError(f"pure_as_commutator: [u, v] != {p}")
     return u, v
 
 

@@ -2,16 +2,18 @@
 
 Vectors are columns with scalars acting on the right, matrices act on the
 left; a matrix represents an endomorphism via u(e_j) = sum_i e_i m[i][j].
-Row reduction uses left row operations only, which preserve the right null
-space; pivots are normalized by left multiplication with entry inverses.
+Row reduction, rank, kernels, solves and inverses all go through the one
+elimination `ratlin.rref`, whose left row operations preserve the right
+null space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from . import ratlin
 from .errors import AlgebraMismatchError, DimensionMismatchError, PreconditionError
 from .qcore import AlgebraParams, Quaternion, rat
 
@@ -267,49 +269,18 @@ class QMatrix:
 def row_reduce(m: QMatrix) -> tuple[QMatrix, QMatrix, int]:
     """Reduced row echelon form via left row operations.
 
-    Returns (echelon, transform, rank) with transform * m == echelon exactly.
-    Pivot choice: first nonzero entry in column order.
+    Returns (echelon, transform, rank) with transform * m == echelon exactly:
+    [M | I] is reduced with pivots in M alone and split.
     """
-    work = [list(row) for row in m.entries]
-    trans = [list(row) for row in QMatrix.identity(m.rows, m.algebra).entries]
-    pr = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for r in range(pr, m.rows):
-            if not work[r][c].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        trans[pr], trans[pivot_row] = trans[pivot_row], trans[pr]
-        inv = work[pr][c].inverse()
-        work[pr] = [inv * e for e in work[pr]]
-        trans[pr] = [inv * e for e in trans[pr]]
-        for r in range(m.rows):
-            if r != pr and not work[r][c].is_zero():
-                f = work[r][c]
-                work[r] = [e - f * p for e, p in zip(work[r], work[pr])]
-                trans[r] = [e - f * p for e, p in zip(trans[r], trans[pr])]
-        pr += 1
-        if pr == m.rows:
-            break
-    return QMatrix(work), QMatrix(trans), pr
+    ident = QMatrix.identity(m.rows, m.algebra).entries
+    red, pivots = ratlin.rref([row + e for row, e in zip(m.entries, ident)], m.cols)
+    echelon = QMatrix([row[: m.cols] for row in red])
+    transform = QMatrix([row[m.cols :] for row in red])
+    return echelon, transform, len(pivots)
 
 
 def rank(m: QMatrix) -> int:
-    return row_reduce(m)[2]
-
-
-def _pivot_columns(echelon: QMatrix, rk: int) -> list[int]:
-    pivots = []
-    c = 0
-    for r in range(rk):
-        while echelon[r, c].is_zero():
-            c += 1
-        pivots.append(c)
-        c += 1
-    return pivots
+    return len(ratlin.rref(m.entries)[1])
 
 
 def kernel_basis(m: QMatrix) -> list[QVector]:
@@ -318,52 +289,40 @@ def kernel_basis(m: QMatrix) -> list[QVector]:
     The returned vectors are right-independent over the algebra; general
     kernel elements are their right-linear combinations.
     """
-    echelon, _, rk = row_reduce(m)
-    pivots = _pivot_columns(echelon, rk)
-    pivot_set = set(pivots)
-    zero, one = m.algebra.zero(), m.algebra.one()
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = [zero] * m.cols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -echelon[r, f]
-        basis.append(QVector(vec))
-    return basis
+    return [QVector(v) for v in ratlin.kernel(m.entries)]
 
 
 def solve_right(m: QMatrix, b: QVector) -> Optional[QVector]:
     """Particular solution X of M X = B with free coordinates zero, or None."""
     if b.dim != m.rows:
         raise DimensionMismatchError("right-hand side has wrong dimension")
-    echelon, trans, rk = row_reduce(m)
-    pivots = _pivot_columns(echelon, rk)
-    tb = trans.apply(b)
-    for r in range(rk, m.rows):
-        if not tb[r].is_zero():
-            return None
-    zero = m.algebra.zero()
-    sol = [zero] * m.cols
-    for r, p in enumerate(pivots):
-        sol[p] = tb[r]
-    x = QVector(sol)
-    assert m.apply(x) == b
-    return x
+    sol = ratlin.solve(m.entries, b.entries)
+    return None if sol is None else QVector(sol)
 
 
 def invert(m: QMatrix) -> Optional[QMatrix]:
-    """Exact inverse for full-rank square matrices, else None."""
+    """Exact inverse for full-rank square matrices, else None.
+
+    A full-rank reduced echelon form is the identity, so transform * m == I,
+    and over a division ring a one-sided inverse is two-sided.
+    """
     if not m.is_square():
         raise DimensionMismatchError("only square matrices can be inverted")
-    echelon, trans, rk = row_reduce(m)
-    if rk < m.rows:
-        return None
-    # full-rank reduced echelon is the identity, so trans * m == I by
-    # construction; the right inverse property follows over a division ring
-    assert echelon == QMatrix.identity(m.rows, m.algebra)
-    return trans
+    _, trans, rk = row_reduce(m)
+    return trans if rk == m.rows else None
+
+
+def independent_subfamily(vectors: Sequence[QVector]) -> list[QVector]:
+    """The greedy right-independent subfamily: each vector outside the span of those before it.
+
+    These are the pivot columns of one reduction of the vectors taken as
+    columns, since left row operations keep every right-linear relation
+    among the columns.
+    """
+    if not vectors:
+        return []
+    pivots = ratlin.rref(QMatrix.from_columns(vectors).entries)[1]
+    return [vectors[c] for c in pivots]
 
 
 @dataclass(frozen=True)
@@ -476,10 +435,3 @@ def rank1_factor(m: QMatrix) -> Optional[tuple[QVector, QVector]]:
 def outer(c: QVector, r: QVector) -> QMatrix:
     """Rank <= 1 matrix with entries c[s]*r[t]."""
     return QMatrix([[c[s] * r[t] for t in range(r.dim)] for s in range(c.dim)])
-
-
-def columns_right_independent(vectors: Iterable[QVector]) -> bool:
-    vectors = list(vectors)
-    if not vectors:
-        return True
-    return rank(QMatrix.from_columns(vectors)) == len(vectors)

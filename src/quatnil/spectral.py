@@ -27,7 +27,14 @@ from .qcore import (
     sqrt_pure,
     sylvester_solve,
 )
-from .qlinalg import QMatrix, QVector, SimilarityWitness, conjugate_by, invert, rank
+from .qlinalg import (
+    QMatrix,
+    QVector,
+    SimilarityWitness,
+    conjugate_by,
+    independent_subfamily,
+    invert,
+)
 
 
 @dataclass
@@ -178,19 +185,6 @@ def diagonalize_2x2_jordanlike(a: Quaternion, b: Quaternion) -> Optional[Similar
     return witness
 
 
-def _greedy_right_independent(vectors: list[QVector], target: int) -> Optional[list[QVector]]:
-    picked: list[QVector] = []
-    for v in vectors:
-        if v.is_zero():
-            continue
-        candidate = picked + [v]
-        if rank(QMatrix.from_columns(candidate)) == len(candidate):
-            picked = candidate
-            if len(picked) == target:
-                return picked
-    return None
-
-
 def unispectral_diagonalizable(
     m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET
 ) -> Optional[DiagonalizationCertificate]:
@@ -223,8 +217,8 @@ def unispectral_diagonalizable(
         return None
     q = m.algebra.scalar(rel.trace / 2) + s
     solution = eigenvectors_for(m, q)
-    picked = _greedy_right_independent(solution.basis, n)
-    if picked is None:
+    picked = independent_subfamily(solution.basis)
+    if len(picked) < n:
         return None
     pinv_mat = QMatrix.from_columns(picked)
     p_mat = invert(pinv_mat)

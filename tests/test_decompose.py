@@ -28,6 +28,8 @@ from quatnil.decompose import (
 from conftest import random_quaternion
 
 classify_module = importlib.import_module("quatnil.classify")
+decompose_module = importlib.import_module("quatnil.decompose")
+spectral_module = importlib.import_module("quatnil.spectral")
 
 
 def rational_matrix(rng, H, n, h=4):
@@ -235,6 +237,27 @@ class TestDecompose:
         dec = decompose_two_nilpotents(m)
         assert verify_decomposition(m, dec.n1, dec.n2)
         assert calls == [m]
+
+    def test_2x2_certifies_the_square_once(self, H, monkeypatch):
+        calls = []
+        original = spectral_module.unispectral_diagonalizable
+
+        def counted(m, *args, **kwargs):
+            calls.append(m)
+            return original(m, *args, **kwargs)
+
+        # wherever the name is bound, so a second call site cannot hide
+        for module in (classify_module, decompose_module):
+            monkeypatch.setattr(module, "unispectral_diagonalizable", counted, raising=False)
+        # M*M central (-I) and noncentral (Diag(k, -k))
+        for m in (
+            QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]]),
+            QMatrix([[H.zero(), H.i()], [H.j(), H.zero()]]),
+        ):
+            calls.clear()
+            dec = decompose_two_nilpotents(m)
+            assert verify_decomposition(m, dec.n1, dec.n2)
+            assert sum(1 for a in calls if a == m * m) == 1
 
     def test_witness_and_form_fields(self, H):
         m = QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]])

@@ -16,11 +16,13 @@ import pytest
 from quatnil import jsonio
 from quatnil.classify import classify, is_sum_of_two_nilpotents
 from quatnil.decompose import decompose_two_nilpotents
+from quatnil.errors import SearchBudgetExceeded
 from quatnil.gen import InstanceSpec, generate, two_square_zero_sum
 from quatnil.qcore import AlgebraParams
 
 HAMILTON = (-1, -1)
 OTHER = (-1, -7)
+THIRD = (2, -5)
 
 
 def _digest(doc) -> str:
@@ -37,7 +39,8 @@ def _instance(ab, n, kind, seed, **kw):
     return generate(InstanceSpec(alg, n, kind, seed=seed, **kw))
 
 
-# (algebra, n, kind, seed) -> digest of decomposition_to_json
+# (algebra, n, kind, seed) -> digest of decomposition_to_json, or the
+# SearchBudgetExceeded class where the decision itself runs out of budget
 DECOMPOSITIONS = {
     (HAMILTON, 2, "two-square-zero", 11):
         "7ccd3b749f1973cfc9c80fc43a1f17e1a21170aa3d287c0b875ec775e95c104c",
@@ -63,6 +66,18 @@ DECOMPOSITIONS = {
         "8b9272901b897992e1bb2aadc50a8e5895bd71490ca5895dd383ac08cfd32586",
     (OTHER, 4, "type-II", 24):
         "00c1fb9f7f1dcd007a6ccba69d0d5e07cb96092b21fc49f01f6727f57e29d331",
+    # the sqrt_pure shell search finds no root of height <= 64 for M*M
+    (OTHER, 2, "two-square-zero", 25): SearchBudgetExceeded,
+    (OTHER, 2, "type-II", 26):
+        "44ba4be29252c25d9733e641f8b127e78327a0e04c617fa790ea6b05c4423cc6",
+    (OTHER, 5, "generic-trace-zero", 27):
+        "cc6dee822d2f528d9c9ad6e34dec07d667ad933c9d25200ff2c9450f4beb565e",
+    (OTHER, 5, "type-II", 28):
+        "eec926c4f48c0f5976169596cb90bc9fafc1ad8da6cea4dee1f4dfdf6979cfbd",
+    (THIRD, 3, "generic-trace-zero", 29):
+        "ee0bfa0e0176deb1bf7547de14bae204c2f75927e4bc8c6d55a1dbaf7f18a12d",
+    (THIRD, 3, "type-II", 30):
+        "7a8fd417b71d0ea4a7529e005fa8c1f2156b08a7a274ab691f3d0f402da9889d",
 }
 
 
@@ -72,6 +87,10 @@ def test_decomposition_digest(key):
     # type II with lam = 1 and the default image eigenvalue -n: zero supertrace
     extra = {"lam": Fraction(1)} if kind == "type-II" else {}
     m = _instance(ab, n, kind, seed, **extra)
+    if DECOMPOSITIONS[key] is SearchBudgetExceeded:
+        with pytest.raises(SearchBudgetExceeded):
+            is_sum_of_two_nilpotents(m)
+        return
     assert is_sum_of_two_nilpotents(m).answer
     dec = decompose_two_nilpotents(m)
     assert _digest(jsonio.decomposition_to_json(dec)) == DECOMPOSITIONS[key]

@@ -1,10 +1,16 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from quatnil import qcore, ratlin
 from quatnil.errors import (
     AlgebraMismatchError,
+    CertificateError,
     NotDivisionAlgebraError,
     ObstructionError,
     ParameterError,
@@ -505,3 +511,57 @@ class TestEnumeration:
         assert first[0] == (Fraction(0), Fraction(0))
         # shell 1 tuples all contain a height-1 component
         assert all(max(abs(a), abs(b)) == 1 for a, b in first[1:])
+
+
+class TestWitnessChecks:
+    """Each returned witness is checked by an explicit raise, never an assert."""
+
+    def test_conjugator_rejects_a_wrong_kernel_vector(self, H, monkeypatch):
+        monkeypatch.setattr(ratlin, "kernel", lambda rows: [[Fraction(1)] + [Fraction(0)] * 3])
+        with pytest.raises(CertificateError):
+            conjugator(H.i(), H.j())
+
+    def test_sylvester_rejects_a_wrong_solution(self, H, monkeypatch):
+        monkeypatch.setattr(ratlin, "solve", lambda rows, rhs: [Fraction(1)] + [Fraction(0)] * 3)
+        with pytest.raises(CertificateError):
+            sylvester_solve(H.i(), H.i(), H.j())
+
+    def test_translate_rejects_a_wrong_hyperplane(self, H, monkeypatch):
+        monkeypatch.setattr(ratlin, "solve", lambda rows, rhs: [Fraction(0)] * 4)
+        with pytest.raises(CertificateError):
+            translate_conjugate(H.quat(0, 2), H.zero())
+
+    def test_commutator_rejects_a_wrong_conjugator(self, H, monkeypatch):
+        monkeypatch.setattr(qcore, "conjugator", lambda p, q: p.algebra.one())
+        with pytest.raises(CertificateError):
+            pure_as_commutator(H.quat(0, 2))
+
+    def test_conjugator_check_survives_optimize(self):
+        # python -O strips asserts; the witness check must not be one
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = textwrap.dedent(
+            """
+            from fractions import Fraction
+
+            from quatnil import qcore, ratlin
+            from quatnil.errors import CertificateError
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            ratlin.kernel = lambda rows: [[Fraction(1)] + [Fraction(0)] * 3]
+            H = qcore.hamilton_algebra()
+            try:
+                qcore.conjugator(H.i(), H.j())
+            except CertificateError:
+                print("raised")
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"

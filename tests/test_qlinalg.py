@@ -7,8 +7,8 @@ from quatnil.qlinalg import (
     QMatrix,
     QVector,
     SimilarityWitness,
-    columns_right_independent,
     conjugate_by,
+    independent_subfamily,
     invert,
     is_nilpotent,
     kernel_basis,
@@ -128,7 +128,7 @@ class TestKernelAndSolve:
             assert len(basis) == 3 - rank(low * m)
             for v in basis:
                 assert (low * m).apply(v).is_zero()
-            assert columns_right_independent(basis)
+            assert independent_subfamily(basis) == basis
 
     def test_solve_single(self, H):
         m = QMatrix([[H.i()]])
@@ -323,7 +323,7 @@ class TestRank1Factor:
             c2 = QVector([random_quaternion(rng, H, 3) for _ in range(3)])
             r1 = QVector([random_quaternion(rng, H, 3) for _ in range(3)])
             r2 = QVector([random_quaternion(rng, H, 3) for _ in range(3)])
-            if not columns_right_independent([c1, c2]):
+            if independent_subfamily([c1, c2]) != [c1, c2]:
                 continue
             a, b = outer(c1, r1), outer(c2, r2)
             if rank(a) != 1 or rank(b) != 1:
