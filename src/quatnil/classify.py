@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatchError
-from .qcore import DEFAULT_SQRT_BUDGET, ConjClass, Quaternion, rational_sqrt
+from .qcore import ConjClass, Quaternion, rational_sqrt
 from .qlinalg import QMatrix, QVector, outer, reduced_trace
 from .spectral import DiagonalizationCertificate, unispectral_diagonalizable
 
@@ -197,18 +197,16 @@ def detect_type_II(m: QMatrix) -> Optional[TypeIIData]:
     return None
 
 
-def detect_type_III(
-    m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET
-) -> Optional[DiagonalizationCertificate]:
+def detect_type_III(m: QMatrix) -> Optional[DiagonalizationCertificate]:
     """Certificate when n = 3, M != 0, and M is unispectral diagonalizable."""
     if not m.is_square():
         raise DimensionMismatchError("classification needs a square matrix")
     if m.rows != 3 or m.is_zero():
         return None
-    return unispectral_diagonalizable(m, sqrt_budget=sqrt_budget)
+    return unispectral_diagonalizable(m)
 
 
-def classify(m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET) -> Classification:
+def classify(m: QMatrix) -> Classification:
     """Verdict under the fixed priority Zero > TypeI > TypeII > TypeIII > Generic."""
     if not m.is_square():
         raise DimensionMismatchError("classification needs a square matrix")
@@ -220,15 +218,13 @@ def classify(m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET) -> Classificati
     data = detect_type_II(m)
     if data is not None:
         return Classification(Verdict.TYPE_II, type_ii=data)
-    cert = detect_type_III(m, sqrt_budget=sqrt_budget)
+    cert = detect_type_III(m)
     if cert is not None:
         return Classification(Verdict.TYPE_III, type_iii=cert)
     return Classification(Verdict.GENERIC)
 
 
-def is_sum_of_two_nilpotents(
-    m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET
-) -> Decision:
+def is_sum_of_two_nilpotents(m: QMatrix) -> Decision:
     """Decide whether M splits as N1 + N2 with both summands nilpotent.
 
     One `classify` pass; for n >= 3 its verdict and the reduced trace decide,
@@ -236,7 +232,7 @@ def is_sum_of_two_nilpotents(
     """
     if not m.is_square():
         raise DimensionMismatchError("decision needs a square matrix")
-    cls = classify(m, sqrt_budget=sqrt_budget)
+    cls = classify(m)
     n = m.rows
     trace = reduced_trace(m)
 
@@ -256,14 +252,14 @@ def is_sum_of_two_nilpotents(
     if n == 2:
         if trace != 0:
             return decided(False, Reason.TRACE_NONZERO)
-        cert_sq = unispectral_diagonalizable(m * m, sqrt_budget=sqrt_budget)
+        cert_sq = unispectral_diagonalizable(m * m)
         if cert_sq is None:
             return decided(
                 False,
                 Reason.N2_SPECTRAL_OBSTRUCTION,
                 note="square is not unispectral diagonalizable",
             )
-        cert_m = unispectral_diagonalizable(m, sqrt_budget=sqrt_budget)
+        cert_m = unispectral_diagonalizable(m)
         if cert_m is not None:
             q = cert_m.eigenvalue
             if q.reduced_trace() != 0 or q.is_central():

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success / decision yes; 1 `check` found the certificate
 INVALID (or `selftest` failed); 2 parse or invalid-request error; 3 decision
-no; 4 the requested algebra is not a division algebra; 5 a bounded search ran
-out of budget (SearchBudgetExceeded); 6 a certificate failed its final check
-(CertificateError, a defect in the library).  Errors print one `error:` line.
+no; 4 the requested algebra is not a division algebra; 5 a construction
+search ran out (SearchBudgetExceeded: the sqrt_pure height bound or the
+trial-decision cap of the n >= 4 reduction); 6 a certificate failed its final
+check (CertificateError, a defect in the library).  Errors print one `error:`
+line.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _dump(data: dict, path: str | None):
 
 def cmd_classify(args) -> int:
     m = _load_matrix(args.input)
-    decision = is_sum_of_two_nilpotents(m, sqrt_budget=args.search_budget)
+    decision = is_sum_of_two_nilpotents(m)
     cls = decision.classification
     if args.format == "json":
         _dump(
@@ -88,7 +90,7 @@ def cmd_classify(args) -> int:
 
 def cmd_decompose(args) -> int:
     m = _load_matrix(args.input)
-    decision = is_sum_of_two_nilpotents(m, sqrt_budget=args.search_budget)
+    decision = is_sum_of_two_nilpotents(m)
     if not decision.answer:
         print(
             f"NO: not a sum of two nilpotent matrices (reason: {decision.reason.value})",
@@ -96,9 +98,7 @@ def cmd_decompose(args) -> int:
         )
         _dump({"decision": jsonio.decision_to_json(decision)}, args.output)
         return EXIT_NO
-    dec = decompose_two_nilpotents(
-        m, sqrt_budget=args.search_budget, search_budget=args.height_budget
-    )
+    dec = decompose_two_nilpotents(m)
     _dump(jsonio.decomposition_to_json(dec), args.output)
     print(f"YES: decomposition verified for a {m.rows}x{m.cols} matrix")
     return EXIT_OK
@@ -156,23 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--search-budget", type=int, default=64,
-                       help="height budget for pure square-root searches")
-        p.add_argument("--height-budget", type=int, default=600,
-                       help="budget for basis/perturbation enumeration")
-
     p = sub.add_parser("classify", help="classify a matrix and decide decomposability")
     p.add_argument("--input", "-i", required=True, help="matrix JSON file")
     p.add_argument("--output", "-o", help="write the JSON report here instead of stdout")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("decompose", help="produce two nilpotent summands with certificate")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", help="decomposition JSON output path")
-    common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("check", help="verify a decomposition file against a matrix file")

@@ -15,14 +15,13 @@ tests that `python -O` keeps, and raises CertificateError if a check fails.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .classify import Decision, TypeIIData, is_sum_of_two_nilpotents
 from .errors import CertificateError, PreconditionError, SearchBudgetExceeded
-from .qcore import DEFAULT_SQRT_BUDGET, AlgebraParams, Quaternion, conjugator, translate_conjugate
+from .qcore import AlgebraParams, Quaternion, conjugator, translate_conjugate
 from .qlinalg import (
     QMatrix,
     QVector,
@@ -32,14 +31,13 @@ from .qlinalg import (
     invert,
     is_nilpotent,
     kernel_basis,
-    rank,
     reduced_trace,
     strict_split,
 )
 from .spectral import checked_witness, eigenvectors_for
 
-#: Number of candidate vectors / perturbation lists tried before giving up.
-DEFAULT_SEARCH_BUDGET = 600
+#: Most trial decisions of perturbed trailing blocks in one `_diag_zero_large` call.
+MAX_TRIAL_DECISIONS = 600
 
 
 @dataclass(frozen=True)
@@ -106,14 +104,10 @@ def _field_diag_zero_inner(m: QMatrix) -> SimilarityWitness:
     if reduced_trace(m) != 0:
         raise PreconditionError("trace must be zero")
 
-    alg = m.algebra
-    units = _unit_vectors(n, alg)
-    candidates = units + [units[s] + units[t] for s in range(n) for t in range(s + 1, n)]
-    # nonscalar rational matrices move some candidate off its line
-    x = next(v for v in candidates if rank(QMatrix.from_columns([v, m.apply(v)])) == 2)
-    base = _to_basis(independent_subfamily([x, m.apply(x), *units]))
+    # a nonscalar rational matrix moves some e_s or e_s + e_t off its line
+    base = next(_corner_bases(m))
     w_sub = _field_diag_zero_inner(conjugate_by(m, base).submatrix(range(1, n), range(1, n)))
-    return _embed_witness(w_sub, alg).compose(base)
+    return _embed_witness(w_sub, m.algebra).compose(base)
 
 
 def _embed_witness(w: SimilarityWitness, algebra: AlgebraParams) -> SimilarityWitness:
@@ -207,99 +201,45 @@ def _units(alg: AlgebraParams) -> list[Quaternion]:
     return [one, i, j, k, -one, -i, -j, -k]
 
 
-def _vector_candidates(n: int, alg: AlgebraParams, budget: int) -> Iterator[QVector]:
-    """Structured candidates first, then seeded pseudo-random vectors."""
-    count = 0
-
-    def emit(v):
-        nonlocal count
-        count += 1
-        return v
-
-    for s in range(n):
-        if count >= budget:
-            return
-        yield emit(QVector.unit(n, s, alg))
-    units = _units(alg)
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            for u in units:
-                if count >= budget:
-                    return
-                yield emit(QVector.unit(n, s, alg) + QVector.unit(n, t, alg).scale_right(u))
-    if n >= 3:
-        for s in range(n):
-            for t in range(s + 1, n):
-                for r in range(t + 1, n):
-                    for u in units:
-                        for v in units:
-                            if count >= budget:
-                                return
-                            yield emit(
-                                QVector.unit(n, s, alg)
-                                + QVector.unit(n, t, alg).scale_right(u)
-                                + QVector.unit(n, r, alg).scale_right(v)
-                            )
-    rng = random.Random(0x5EED)
-    while count < budget:
-        entries = [
-            Quaternion(
-                Fraction(rng.randint(-3, 3)),
-                Fraction(rng.randint(-3, 3)),
-                Fraction(rng.randint(-3, 3)),
-                Fraction(rng.randint(-3, 3)),
-                alg,
-            )
-            for _ in range(n)
-        ]
-        v = QVector(entries)
-        if not v.is_zero():
-            yield emit(v)
+def _vector_candidates(n: int, alg: AlgebraParams) -> Iterator[QVector]:
+    """Unit vectors e_s, then e_s + e_t*u, then e_s + e_t*u + e_r*v, for units u and v."""
+    e, units = _unit_vectors(n, alg), _units(alg)
+    yield from e
+    for (s, t), u in itertools.product(itertools.permutations(range(n), 2), units):
+        yield e[s] + e[t].scale_right(u)
+    for (s, t, r), u, v in itertools.product(itertools.combinations(range(n), 3), units, units):
+        yield e[s] + e[t].scale_right(u) + e[r].scale_right(v)
 
 
-def _perturbation_lists(
-    k: int, alg: AlgebraParams, budget: int
-) -> Iterator[tuple[Quaternion, ...]]:
-    """Zero list, then single-slot units, then slot pairs, then seeded random lists."""
-    zero = alg.zero()
-    count = 0
-    yield tuple([zero] * k)
-    count += 1
-    units = _units(alg)
-    for slot in range(k):
-        for u in units:
-            if count >= budget:
-                return
-            out = [zero] * k
+def _perturbation_lists(k: int, alg: AlgebraParams) -> Iterator[tuple[Quaternion, ...]]:
+    """The zero list, then one unit in one slot, then units in two slots."""
+    zero, units = alg.zero(), _units(alg)
+
+    def placed(*pairs) -> tuple[Quaternion, ...]:
+        out = [zero] * k
+        for slot, u in pairs:
             out[slot] = u
-            yield tuple(out)
-            count += 1
-    for s in range(k):
-        for t in range(s + 1, k):
-            for u in units:
-                for v in units:
-                    if count >= budget:
-                        return
-                    out = [zero] * k
-                    out[s], out[t] = u, v
-                    yield tuple(out)
-                    count += 1
-    rng = random.Random(0xBA5E)
-    while count < budget:
-        out = [
-            Quaternion(
-                Fraction(rng.randint(-2, 2)),
-                Fraction(rng.randint(-2, 2)),
-                Fraction(rng.randint(-2, 2)),
-                Fraction(rng.randint(-2, 2)),
-                alg,
-            )
-            for _ in range(k)
-        ]
-        yield tuple(out)
-        count += 1
+        return tuple(out)
+
+    yield placed()
+    for slot, u in itertools.product(range(k), units):
+        yield placed((slot, u))
+    for (s, t), u, v in itertools.product(itertools.combinations(range(k), 2), units, units):
+        yield placed((s, u), (t, v))
+
+
+def _corner_bases(m: QMatrix) -> Iterator[SimilarityWitness]:
+    """Basis (x, Mx, units...) for each candidate x with Mx off the line of x, in order.
+
+    In such a basis the first column of M is e_2, so the corner entry is zero.
+    The greedy subfamily keeps Mx second exactly when Mx is off the line of x.
+    """
+    units = _unit_vectors(m.rows, m.algebra)
+    for x in _vector_candidates(m.rows, m.algebra):
+        mx = m.apply(x)
+        cols = independent_subfamily([x, mx, *units])
+        if cols[1] == mx:
+            yield _to_basis(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -307,69 +247,61 @@ def _perturbation_lists(
 # ---------------------------------------------------------------------------
 
 
-def diag_zero_form(
-    m: QMatrix,
-    sqrt_budget: int = DEFAULT_SQRT_BUDGET,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> SimilarityWitness:
+def diag_zero_form(m: QMatrix) -> SimilarityWitness:
     """Witness conjugating M to a matrix with zero diagonal.
 
-    Precondition: the decision procedure accepts M.  Budget exhaustion in
-    the constructive searches raises SearchBudgetExceeded (an enumeration
-    gap, never a mathematical rejection); a witness that fails its check
-    raises CertificateError.
+    Precondition: the decision procedure accepts M.  A construction search
+    that runs out (the sqrt_pure height bound or the trial-decision cap of
+    the n >= 4 step) raises SearchBudgetExceeded, which is never a
+    mathematical rejection; a witness that fails its check raises
+    CertificateError.
     """
-    return _decided_diag_zero(m, sqrt_budget, search_budget)[0]
+    return _decided_diag_zero(m)[0]
 
 
-def _decided_diag_zero(
-    m: QMatrix, sqrt_budget: int, search_budget: int
-) -> tuple[SimilarityWitness, QMatrix]:
+def _decided_diag_zero(m: QMatrix) -> tuple[SimilarityWitness, QMatrix]:
     """Decide M once, reduce it by that decision, and certify the result."""
-    decision = is_sum_of_two_nilpotents(m, sqrt_budget=sqrt_budget)
+    decision = is_sum_of_two_nilpotents(m)
     if not decision.answer:
         raise PreconditionError(
             f"matrix is not a sum of two nilpotents (reason: {decision.reason.value})"
         )
-    return _certify(m, _diag_zero(m, decision, sqrt_budget, search_budget))
+    return _certify(m, _diag_zero(m, decision))
 
 
-def _diag_zero(
-    m: QMatrix, decision: Decision, sqrt_budget: int, search_budget: int
-) -> SimilarityWitness:
+def _diag_zero(m: QMatrix, decision: Decision) -> SimilarityWitness:
     """Zero-diagonal witness for M, by the case its accepting decision names."""
     n = m.rows
     if m.is_zero():
         return SimilarityWitness.identity(n, m.algebra)
     if n == 2:
-        return _diag_zero_2x2(m, decision, search_budget)
+        return _diag_zero_2x2(m, decision)
     if decision.type_ii is not None:
         return _diag_zero_type_ii(m, decision.type_ii)
     if n == 3:
-        return _diag_zero_3x3(m, search_budget)
-    return _diag_zero_large(m, sqrt_budget, search_budget)
+        return _diag_zero_3x3(m)
+    return _diag_zero_large(m)
 
 
-def _diag_zero_2x2(m: QMatrix, decision: Decision, search_budget: int) -> SimilarityWitness:
+def _diag_zero_2x2(m: QMatrix, decision: Decision) -> SimilarityWitness:
     """Basis (x, Mx) for an eigenvector x of M*M gives [[0, q], [1, 0]].
 
     q is the eigenvalue of the certificate for M*M that the decision built.
     """
-    alg = m.algebra
     q = decision.square_certificate.eigenvalue
     if q.is_central():
         # M*M = q*I, so every nonzero vector is an eigenvector of the square.
-        candidates = _vector_candidates(2, alg, search_budget)
+        bases = _corner_bases(m)
     else:
         basis = eigenvectors_for(m * m, q).basis
         candidates = list(basis)
         candidates += [u + v for s, u in enumerate(basis) for v in basis[s + 1 :]]
         candidates += [u - v for s, u in enumerate(basis) for v in basis[s + 1 :]]
-    for x in candidates:
-        witness = _to_basis([x, m.apply(x)])
-        if witness is not None:
-            return witness
-    raise SearchBudgetExceeded("2x2 reduction: no independent (x, Mx) pair found")
+        bases = filter(None, (_to_basis([x, m.apply(x)]) for x in candidates))
+    witness = next(bases, None)
+    if witness is None:
+        raise SearchBudgetExceeded("2x2 reduction: no independent (x, Mx) pair found")
+    return witness
 
 
 def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> SimilarityWitness:
@@ -413,7 +345,7 @@ def _square_zero_pair_witness(k: QMatrix, a_mat: QMatrix, b_mat: QMatrix) -> Sim
     return _to_basis(cols)
 
 
-def _diag_zero_3x3(m: QMatrix, search_budget: int) -> SimilarityWitness:
+def _diag_zero_3x3(m: QMatrix) -> SimilarityWitness:
     """Companion basis (x, Mx, M^2 x + x*delta) with delta from the 2x2 completion.
 
     In that basis the first diagonal entry is zero and the trailing 2x2
@@ -421,14 +353,14 @@ def _diag_zero_3x3(m: QMatrix, search_budget: int) -> SimilarityWitness:
     rest of the witness.
     """
     alg = m.algebra
-    for x in _vector_candidates(3, alg, search_budget):
+    for x in _vector_candidates(3, alg):
         mx = m.apply(x)
         m2x = m.apply(mx)
         cyclic = _to_basis([x, mx, m2x])
         if cyclic is not None:
             break
     else:
-        raise SearchBudgetExceeded("3x3 reduction: no cyclic vector found in budget")
+        raise SearchBudgetExceeded("3x3 reduction: no candidate vector is cyclic")
     companion = conjugate_by(m, cyclic)
     completion = completion_2x2(alg.zero(), companion[2, 2])
     delta = completion.delta - companion[1, 2]
@@ -437,28 +369,18 @@ def _diag_zero_3x3(m: QMatrix, search_budget: int) -> SimilarityWitness:
     return _embed_witness(w_block, alg).compose(base)
 
 
-def _diag_zero_large(m: QMatrix, sqrt_budget: int, search_budget: int) -> SimilarityWitness:
+def _diag_zero_large(m: QMatrix) -> SimilarityWitness:
     """n >= 4: zero the corner, perturb the trailing block until it is accepted, recurse.
 
-    The basis (x, Mx, ...) makes the first column e_2 and the corner zero.
-    Conjugating by the shear with first row (1, 0, q_1, ..., q_{n-2}) adds
-    the perturbation to the first row of the trailing block and keeps the
-    corner zero.
+    Each corner basis (x, Mx, ...) makes the first column e_2 and the corner
+    zero.  Conjugating by the shear with first row (1, 0, q_1, ..., q_{n-2})
+    adds the perturbation to the first row of the trailing block and keeps
+    the corner zero.  When no perturbation of the trailing block is
+    accepted, the next x is tried, for at most MAX_TRIAL_DECISIONS trial
+    decisions in all.
     """
     n = m.rows
     alg = m.algebra
-    x = next(
-        (
-            cand
-            for cand in _vector_candidates(n, alg, search_budget)
-            if rank(QMatrix.from_columns([cand, m.apply(cand)])) == 2
-        ),
-        None,
-    )
-    if x is None:
-        raise SearchBudgetExceeded("reduction: no vector off its own line found")
-    base = _to_basis(independent_subfamily([x, m.apply(x), *_unit_vectors(n, alg)]))
-    trailing = conjugate_by(m, base).submatrix(range(1, n), range(1, n))
 
     def shear(top) -> QMatrix:
         rows = [list(row) for row in QMatrix.identity(n, alg).entries]
@@ -466,22 +388,41 @@ def _diag_zero_large(m: QMatrix, sqrt_budget: int, search_budget: int) -> Simila
         return QMatrix(rows)
 
     zero = alg.zero()
-    for qlist in _perturbation_lists(n - 2, alg, search_budget):
-        bump = QMatrix(
-            [[zero, *qlist]] + [[zero] * (n - 1) for _ in range(n - 2)]
-        )
-        candidate = trailing + bump
-        try:
-            decision = is_sum_of_two_nilpotents(candidate, sqrt_budget=sqrt_budget)
-        except SearchBudgetExceeded:
-            # undecided within budget; any accepted perturbation works, try the next
-            continue
-        if not decision.answer:
-            continue
-        sheared = SimilarityWitness._trusted(shear([-q for q in qlist]), shear(qlist))
-        w_sub = _diag_zero(candidate, decision, sqrt_budget, search_budget)
-        return _embed_witness(w_sub, alg).compose(sheared.compose(base))
-    raise SearchBudgetExceeded("reduction: no accepted trailing perturbation in budget")
+    trials = 0
+    for base in _corner_bases(m):
+        trailing = conjugate_by(m, base).submatrix(range(1, n), range(1, n))
+        for qlist in _perturbation_lists(n - 2, alg):
+            if trials == MAX_TRIAL_DECISIONS:
+                raise SearchBudgetExceeded(
+                    f"reduction: no trailing block accepted in {MAX_TRIAL_DECISIONS} decisions"
+                )
+            trials += 1
+            bump = QMatrix(
+                [[zero, *qlist]] + [[zero] * (n - 1) for _ in range(n - 2)]
+            )
+            candidate = trailing + bump
+            try:
+                decision = is_sum_of_two_nilpotents(candidate)
+            except SearchBudgetExceeded:
+                # undecided; any accepted perturbation works, try the next
+                continue
+            if decision.answer:
+                sheared = SimilarityWitness._trusted(shear([-q for q in qlist]), shear(qlist))
+                w_sub = _diag_zero(candidate, decision)
+                return _embed_witness(w_sub, alg).compose(sheared.compose(base))
+            if not any(qlist) and _scalar_below_first_row(trailing):
+                # the block is lam*I + e_1*r, and a first-row perturbation keeps lam
+                # and the image eigenvalue r_1, hence the verdict
+                break
+    raise SearchBudgetExceeded("reduction: no corner basis admits an accepted trailing block")
+
+
+def _scalar_below_first_row(t: QMatrix) -> bool:
+    """Whether the rows of T below the first are those of lam*I for a rational lam."""
+    lam = t[1, 1]
+    below = range(1, t.rows), range(t.cols)
+    scalar = QMatrix.scalar(t.rows, lam, t.algebra)
+    return lam.is_central() and t.submatrix(*below) == scalar.submatrix(*below)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +430,7 @@ def _diag_zero_large(m: QMatrix, sqrt_budget: int, search_budget: int) -> Simila
 # ---------------------------------------------------------------------------
 
 
-def decompose_two_nilpotents(
-    m: QMatrix,
-    sqrt_budget: int = DEFAULT_SQRT_BUDGET,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> TwoNilpotentDecomposition:
+def decompose_two_nilpotents(m: QMatrix) -> TwoNilpotentDecomposition:
     """Two nilpotent matrices summing to M, with the similarity certificate.
 
     The zero-diagonal conjugate splits into strictly upper and strictly
@@ -502,7 +439,7 @@ def decompose_two_nilpotents(
     and `verify_decomposition` are checked before returning, and a failed
     check raises CertificateError.
     """
-    witness, d = _decided_diag_zero(m, sqrt_budget, search_budget)
+    witness, d = _decided_diag_zero(m)
     upper, _ = strict_split(d)
     n1 = conjugate_by(upper, witness.inverse())
     n2 = m - n1

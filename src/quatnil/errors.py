@@ -34,11 +34,13 @@ class ParseError(QuatnilError, ValueError):
 
 
 class SearchBudgetExceeded(QuatnilError, RuntimeError):
-    """A bounded constructive search ran out of budget.
+    """A bounded constructive search ran out.
 
     Distinct from a negative decision: the existence question was answered
-    yes (or is guaranteed), only the bounded construction failed to find a
-    witness within the configured height/enumeration budget.
+    yes (or is guaranteed), only the construction failed to find a witness.
+    Two fixed bounds can cause it: the shell height of the sqrt_pure search
+    and the cap on trial decisions in the n >= 4 reduction; the other
+    construction searches run through fixed structured candidate lists.
     """
 
 

@@ -1,8 +1,8 @@
 """Deterministic instance generators for testing and the CLI.
 
-Every generated matrix is re-classified and asserted to match the requested
-kind before it is returned, so a generator bug cannot leak a mislabeled
-instance into a test run.
+Each kind is built to carry its label by construction; the tests check that
+generated instances classify as labelled.  The seeded random-entry helpers
+here are the ones the self-test and the test suite draw from.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 
 from .classify import Verdict, classify
 from .errors import ParameterError
-from .qcore import AlgebraParams, ConjClass, Quaternion
+from .qcore import AlgebraParams, Quaternion
 from .qlinalg import QMatrix, QVector, invert, outer, reduced_trace
 
 KINDS = ("generic-trace-zero", "type-I", "type-II", "type-III", "random")
@@ -41,22 +41,22 @@ class InstanceSpec:
             raise ParameterError("type-II instances need size >= 2")
 
 
-def _rational(rng: random.Random, h: int) -> Fraction:
+def _rational(rng: random.Random, h: int = 10) -> Fraction:
     return Fraction(rng.randint(-h, h), rng.choice((1, 1, 1, 2)))
 
 
-def _quaternion(rng: random.Random, alg: AlgebraParams, h: int) -> Quaternion:
+def _quaternion(rng: random.Random, alg: AlgebraParams, h: int = 10) -> Quaternion:
     return alg.quat(*(_rational(rng, h) for _ in range(4)))
 
 
-def _nonzero_quaternion(rng, alg, h) -> Quaternion:
+def _nonzero_quaternion(rng, alg, h: int = 10) -> Quaternion:
     while True:
         q = _quaternion(rng, alg, h)
         if not q.is_zero():
             return q
 
 
-def _noncentral_quaternion(rng, alg, h) -> Quaternion:
+def _noncentral_quaternion(rng, alg, h: int = 10) -> Quaternion:
     while True:
         q = _quaternion(rng, alg, h)
         if not q.is_central():
@@ -121,9 +121,7 @@ def square_zero_matrix(rng: random.Random, alg: AlgebraParams, n: int, height: i
         row = QVector([head * col[0].inverse()] + rest)
         if row.is_zero():
             continue
-        m = outer(col, row)
-        assert (m * m).is_zero()
-        return m
+        return outer(col, row)
 
 
 def two_square_zero_sum(rng: random.Random, alg: AlgebraParams, n: int, height: int) -> QMatrix:
@@ -139,7 +137,6 @@ def generic_trace_zero_matrix(
     """Random matrix with reduced trace exactly zero and verdict Generic."""
     while True:
         m = _zero_trace(_matrix(rng, alg, n, height))
-        assert reduced_trace(m) == 0
         if classify(m).verdict == Verdict.GENERIC:
             return m
 
@@ -162,18 +159,12 @@ def generate(spec: InstanceSpec) -> QMatrix:
             lam = Fraction(rng.choice([v for v in range(-h, h + 1) if v != 0]))
         if lam == 0:
             raise ParameterError("type-I needs a nonzero scalar")
-        m = QMatrix.scalar(n, lam, alg)
-        assert classify(m).verdict == Verdict.TYPE_I
-        return m
+        return QMatrix.scalar(n, lam, alg)
 
     if spec.kind == "type-II":
         lam = spec.lam if spec.lam is not None else Fraction(rng.randint(-h, h))
         image_eig = spec.rep if spec.rep is not None else alg.scalar(-n * lam)
-        m = type_ii_matrix(rng, alg, n, h, lam, image_eig)
-        cls = classify(m)
-        assert cls.verdict == Verdict.TYPE_II
-        assert cls.type_ii.supertrace == ConjClass.of(alg.scalar(n * lam) + image_eig)
-        return m
+        return type_ii_matrix(rng, alg, n, h, lam, image_eig)
 
     if spec.kind == "type-III":
         rep = spec.rep if spec.rep is not None else _noncentral_quaternion(rng, alg, h)
@@ -181,9 +172,6 @@ def generate(spec: InstanceSpec) -> QMatrix:
             raise ParameterError("type-III needs a noncentral eigenvalue representative")
         d = QMatrix.diagonal([rep] * 3)
         p = _invertible(rng, alg, 3, h)
-        m = invert(p) * d * p
-        assert classify(m).verdict == Verdict.TYPE_III
-        return m
+        return invert(p) * d * p
 
-    assert spec.kind == "generic-trace-zero"
     return generic_trace_zero_matrix(rng, alg, n, h)

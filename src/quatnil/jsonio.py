@@ -77,18 +77,6 @@ def matrix_from_json(data, algebra: Optional[AlgebraParams] = None) -> QMatrix:
     return m
 
 
-def witness_to_json(w: SimilarityWitness) -> dict:
-    return {"P": matrix_to_json(w.P), "Pinv": matrix_to_json(w.Pinv)}
-
-
-def witness_from_json(data, algebra: Optional[AlgebraParams] = None) -> SimilarityWitness:
-    if not isinstance(data, dict) or "P" not in data or "Pinv" not in data:
-        raise ParseError("witness object must carry 'P' and 'Pinv'")
-    return SimilarityWitness(
-        matrix_from_json(data["P"], algebra), matrix_from_json(data["Pinv"], algebra)
-    )
-
-
 def decomposition_to_json(dec: TwoNilpotentDecomposition) -> dict:
     out = {"N1": matrix_to_json(dec.n1), "N2": matrix_to_json(dec.n2)}
     if dec.witness is not None:

@@ -30,8 +30,8 @@ from .errors import (
 
 RationalLike = Union[int, str, Fraction]
 
-#: Default cap on the shell height of the integral search in sqrt_pure.
-DEFAULT_SQRT_BUDGET = 64
+#: Cap on the shell height of the integral search in sqrt_pure, read at each call.
+SQRT_MAX_HEIGHT = 64
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -348,11 +348,6 @@ class Quaternion:
     def is_pure(self) -> bool:
         return self.w == 0
 
-    def scalar_value(self) -> Fraction:
-        if not self.is_central():
-            raise ParameterError("not a central element")
-        return self.w
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -579,7 +574,8 @@ def translate_conjugate(p: Quaternion, q: Quaternion) -> Quaternion:
     row = [polar_form(u, e) for e in ones]
     rhs = p.norm() - q.norm()
     base = ratlin.solve([row], [rhs])
-    assert base is not None  # polar form is nondegenerate and u != 0
+    if base is None:  # polar form is nondegenerate and u != 0
+        raise CertificateError("translate_conjugate: the norm hyperplane is empty")
     directions = ratlin.kernel([row])
     for coeffs in iter_rational_tuples(len(directions)):
         vec = list(base)
@@ -648,7 +644,8 @@ def _two_squares_prime(p: int) -> tuple[int, int]:
     """x, y with x^2 + y^2 = p for p = 2 or a prime p = 1 mod 4 (Cornacchia)."""
     if p == 2:
         return 1, 1
-    assert p % 4 == 1
+    if p % 4 != 1:
+        raise PreconditionError(f"two squares: {p} is not 2 or 1 mod 4")
     r = None
     c = 2
     while r is None:
@@ -662,7 +659,8 @@ def _two_squares_prime(p: int) -> tuple[int, int]:
         a, b = b, a % b
     x = b
     y = isqrt(p - x * x)
-    assert x * x + y * y == p
+    if x * x + y * y != p:
+        raise CertificateError(f"two squares: {x}^2 + {y}^2 != {p}")
     return x, y
 
 
@@ -706,22 +704,22 @@ def three_squares(t: int) -> Optional[tuple[int, int, int]]:
         if rest is not None:
             y, z = rest
             sol = tuple(sorted((x << shift, y << shift, z << shift), reverse=True))
-            assert sol[0] ** 2 + sol[1] ** 2 + sol[2] ** 2 == t << (2 * shift)
+            if sum(c * c for c in sol) != t << (2 * shift):
+                raise CertificateError(f"three squares: {sol} does not sum to {t << (2 * shift)}")
             return sol
     return None
 
 
-def sqrt_pure(
-    e: RationalLike, algebra: AlgebraParams, max_height: int = DEFAULT_SQRT_BUDGET
-) -> Optional[Quaternion]:
+def sqrt_pure(e: RationalLike, algebra: AlgebraParams) -> Optional[Quaternion]:
     """A pure quaternion s with s*s == e, or None when no such s exists.
 
     Existence first: a pure square root of a nonzero e exists iff the
     quadratic extension Q(sqrt(e)) embeds into the algebra, i.e. iff e is a
     nonsquare in every completion Q_v at which the algebra ramifies.  Then a
-    bounded search over scaled integer coordinate triples constructs one;
-    exhausting the budget after a positive decision raises
-    SearchBudgetExceeded (distinct from None).
+    search over scaled integer coordinate triples of shell height at most
+    SQRT_MAX_HEIGHT constructs one; running past that height after a
+    positive decision raises SearchBudgetExceeded (distinct from None).  A
+    root that fails its check raises CertificateError.
     """
     e = rat(e)
     if e == 0:
@@ -740,7 +738,8 @@ def sqrt_pure(
         d2, d1 = _squarefree_int(e.denominator)
         d = d1 * d2
         sol = three_squares(-e.numerator * d2)
-        assert sol is not None  # local solvability was established above
+        if sol is None:
+            raise CertificateError(f"sqrt_pure: no three squares for {e} despite local solvability")
         big_x, big_y, big_z = sol
         s = Quaternion(
             Fraction(0),
@@ -749,12 +748,12 @@ def sqrt_pure(
             Fraction(big_z, d) / (a_scale * b_scale),
             algebra,
         )
-        assert s * s == algebra.scalar(e) and s.is_pure()
-        return s
+        return _checked_root(s, e)
 
     big_e = e.numerator * e.denominator
     den = e.denominator
     ab = a_sf * b_sf
+    max_height = SQRT_MAX_HEIGHT
     for shell in range(1, max_height + 1):
         for m in range(1, shell + 1):
             for big_x in range(-shell, shell + 1):
@@ -778,8 +777,14 @@ def sqrt_pure(
                         big_z * scale / (a_scale * b_scale),
                         algebra,
                     )
-                    assert s * s == algebra.scalar(e) and s.is_pure()
-                    return s
+                    return _checked_root(s, e)
     raise SearchBudgetExceeded(
         f"sqrt_pure: representation of {e} exists but no solution of height <= {max_height}"
     )
+
+
+def _checked_root(s: Quaternion, e: Fraction) -> Quaternion:
+    """s itself, after checking that it is a pure square root of e."""
+    if not s.is_pure() or s * s != s.algebra.scalar(e):
+        raise CertificateError(f"sqrt_pure: {s} is not a pure square root of {e}")
+    return s

@@ -14,7 +14,12 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import ratlin
-from .errors import AlgebraMismatchError, DimensionMismatchError, PreconditionError
+from .errors import (
+    AlgebraMismatchError,
+    CertificateError,
+    DimensionMismatchError,
+    PreconditionError,
+)
 from .qcore import AlgebraParams, Quaternion, rat
 
 ScalarLike = Union[int, Fraction, Quaternion]
@@ -105,10 +110,6 @@ class QMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Quaternion]]) -> "QMatrix":
-        return cls(rows)
-
-    @classmethod
     def identity(cls, n: int, algebra: AlgebraParams) -> "QMatrix":
         one, zero = algebra.one(), algebra.zero()
         return cls([[one if r == c else zero for c in range(n)] for r in range(n)])
@@ -143,9 +144,6 @@ class QMatrix:
     def __getitem__(self, rc) -> Quaternion:
         r, c = rc
         return self.entries[r][c]
-
-    def row(self, r: int) -> QVector:
-        return QVector(self.entries[r])
 
     def column(self, c: int) -> QVector:
         return QVector([self.entries[r][c] for r in range(self.rows)])
@@ -246,14 +244,6 @@ class QMatrix:
         if not isinstance(c, Quaternion):
             c = self.algebra.scalar(rat(c))
         return QMatrix([[e * c for e in row] for row in self.entries])
-
-    def __pow__(self, k: int) -> "QMatrix":
-        if not self.is_square() or k < 0:
-            raise DimensionMismatchError("power needs a square matrix and k >= 0")
-        acc = QMatrix.identity(self.rows, self.algebra)
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, QMatrix) and self.entries == other.entries
@@ -418,17 +408,15 @@ def rank1_factor(m: QMatrix) -> Optional[tuple[QVector, QVector]]:
     """
     if rank(m) != 1:
         return None
-    zero, one = m.algebra.zero(), m.algebra.one()
+    one = m.algebra.one()
     s0 = next(r for r in range(m.rows) if not all(e.is_zero() for e in m.entries[r]))
     row = list(m.entries[s0])
     t0 = next(c for c in range(m.cols) if not row[c].is_zero())
     inv = row[t0].inverse()
     col = [m[s, t0] * inv for s in range(m.rows)]
-    assert col[s0] == one
     c_vec, r_vec = QVector(col), QVector(row)
-    assert all(
-        m[s, t] == c_vec[s] * r_vec[t] for s in range(m.rows) for t in range(m.cols)
-    )
+    if col[s0] != one or outer(c_vec, r_vec) != m:
+        raise CertificateError("rank1_factor: c*r does not reproduce the matrix")
     return c_vec, r_vec
 
 

@@ -16,10 +16,16 @@ from typing import Callable, Optional
 
 from .classify import Reason, is_sum_of_two_nilpotents
 from .decompose import completion_2x2, decompose_two_nilpotents, field_diag_zero, verify_decomposition
-from .gen import generic_trace_zero_matrix, two_square_zero_sum, type_ii_matrix
+from .gen import (
+    _noncentral_quaternion,
+    _nonzero_quaternion,
+    _quaternion,
+    generic_trace_zero_matrix,
+    two_square_zero_sum,
+    type_ii_matrix,
+)
 from .qcore import (
     ConjClass,
-    Quaternion,
     are_conjugate,
     conjugator,
     hamilton_algebra,
@@ -55,31 +61,13 @@ class CriterionResult:
         return f"{status} {self.name}: {self.detail} [{self.seconds:.2f}s{bound}]"
 
 
-def _rand_quat(rng: random.Random, alg, h: int) -> Quaternion:
-    return alg.quat(*(Fraction(rng.randint(-h, h), rng.choice((1, 1, 2))) for _ in range(4)))
-
-
-def _rand_nonzero(rng, alg, h):
-    while True:
-        q = _rand_quat(rng, alg, h)
-        if not q.is_zero():
-            return q
-
-
-def _rand_noncentral(rng, alg, h):
-    while True:
-        q = _rand_quat(rng, alg, h)
-        if not q.is_central():
-            return q
-
-
 def criterion_quadratic_identity(seed: int, quick: bool) -> CriterionResult:
     """Seeded quaternions of height <= 10 satisfy q*q = t(q)q - N(q) exactly."""
     alg = hamilton_algebra()
     rng = random.Random(seed ^ 0xC1)
     count = 100 if quick else 1000
     start = time.perf_counter()
-    ok = all(quadratic_identity_check(_rand_quat(rng, alg, 10)) for _ in range(count))
+    ok = all(quadratic_identity_check(_quaternion(rng, alg, 10)) for _ in range(count))
     dt = time.perf_counter() - start
     return CriterionResult(
         "quadratic-identity", ok, f"{count} quaternions, all exact", dt, limit=1.0
@@ -95,15 +83,15 @@ def criterion_conjugacy_witnesses(seed: int, quick: bool) -> CriterionResult:
     start = time.perf_counter()
     ok = True
     for _ in range(pos):
-        q = _rand_quat(rng, alg, 6)
-        g = _rand_nonzero(rng, alg, 6)
+        q = _quaternion(rng, alg, 6)
+        g = _nonzero_quaternion(rng, alg, 6)
         p = g * q * g.inverse()
         w = conjugator(p, q)
         ok = ok and are_conjugate(p, q) and w * q * w.inverse() == p
     done = 0
     while done < neg:
-        p = _rand_quat(rng, alg, 6)
-        q = _rand_quat(rng, alg, 6)
+        p = _quaternion(rng, alg, 6)
+        q = _quaternion(rng, alg, 6)
         if p.reduced_trace() == q.reduced_trace() and p.norm() == q.norm():
             continue
         ok = ok and not are_conjugate(p, q)
@@ -123,20 +111,20 @@ def criterion_commutator_diagonalization(seed: int, quick: bool) -> CriterionRes
     start = time.perf_counter()
     ok = True
     for _ in range(pos):
-        a = _rand_noncentral(rng, alg, 5)
-        c = _rand_quat(rng, alg, 5)
+        a = _noncentral_quaternion(rng, alg, 5)
+        c = _quaternion(rng, alg, 5)
         b = a * c - c * a
         w = diagonalize_2x2_jordanlike(a, b)
         m = QMatrix([[a, b], [alg.zero(), a]])
         ok = ok and w is not None and conjugate_by(m, w) == QMatrix.diagonal([a, a])
     for idx in range(neg):
-        a = _rand_noncentral(rng, alg, 5)
+        a = _noncentral_quaternion(rng, alg, 5)
         if idx % 2 == 0:
-            b = alg.one() + _rand_quat(rng, alg, 5).pure_part()  # t(b) = 2, commutators are pure
+            b = alg.one() + _quaternion(rng, alg, 5).pure_part()  # t(b) = 2, commutators are pure
         else:
             b = a.pure_part() * Fraction(rng.randint(1, 4))
             # the image of x -> ax - xa is orthogonal to the pure part of a
-            x = _rand_quat(rng, alg, 5)
+            x = _quaternion(rng, alg, 5)
             ok = ok and polar_form(a * x - x * a, a.pure_part()) == 0
             ok = ok and polar_form(b, a.pure_part()) != 0
         ok = ok and diagonalize_2x2_jordanlike(a, b) is None
@@ -160,8 +148,8 @@ def criterion_completion(seed: int, quick: bool) -> CriterionResult:
         and cert.summands[1] == QMatrix([[alg.zero(), alg.zero()], [alg.scalar(2), alg.zero()]])
     )
     for _ in range(count):
-        a = _rand_quat(rng, alg, 5)
-        b = _rand_quat(rng, alg, 5)
+        a = _quaternion(rng, alg, 5)
+        b = _quaternion(rng, alg, 5)
         b = b - alg.scalar(a.w + b.w)
         cert = completion_2x2(a, b)
         ok = ok and cert.target == QMatrix([[a, cert.delta], [one, b]])
@@ -273,8 +261,8 @@ def criterion_supertrace_well_defined(seed: int, quick: bool) -> CriterionResult
         while mu == lam:
             mu = Fraction(rng.randint(-5, 5))
         q_a = alg.scalar(mu - lam)
-        col = QVector([alg.one(), _rand_quat(rng, alg, 4)])
-        tail = _rand_quat(rng, alg, 4)
+        col = QVector([alg.one(), _quaternion(rng, alg, 4)])
+        tail = _quaternion(rng, alg, 4)
         head = q_a - tail * col[1]
         a = outer(col, QVector([head, tail]))
         b = a + QMatrix.scalar(2, lam - mu, alg)
@@ -378,7 +366,7 @@ def criterion_triangular_eigenvalues(seed: int, quick: bool) -> CriterionResult:
         rows = []
         for r in range(n):
             rows.append(
-                [alg.zero()] * r + [_rand_quat(rng, alg, 3) for _ in range(n - r)]
+                [alg.zero()] * r + [_quaternion(rng, alg, 3) for _ in range(n - r)]
             )
         t_mat = QMatrix(rows)
         for s in range(n):

@@ -19,7 +19,6 @@ from typing import Optional
 from . import ratlin
 from .errors import CertificateError, DimensionMismatchError, PreconditionError
 from .qcore import (
-    DEFAULT_SQRT_BUDGET,
     Quaternion,
     is_rational_square,
     left_mul_matrix,
@@ -135,14 +134,16 @@ def triangular_eigenvector(
         for r in range(n_top):
             rhs.extend((-x0[r]).coords())
         coords = ratlin.solve(system, rhs)
-        assert coords is not None  # injective implies surjective in finite dimension
+        if coords is None:  # injective implies surjective in finite dimension
+            raise CertificateError("triangular_eigenvector: the top block system has no solution")
         xp = _vector_from_coords(coords, n_top, algebra)
         out = QVector(list(xp.entries) + [algebra.one()])
     full = QMatrix(
         [list(s.entries[r]) + [x0[r]] for r in range(n_top)]
         + [[algebra.zero()] * n_top + [t]]
     )
-    assert full.apply(out) == out.scale_right(t) and not out.is_zero()
+    if out.is_zero() or full.apply(out) != out.scale_right(t):
+        raise CertificateError("triangular_eigenvector: the vector is not an eigenvector for t")
     return out
 
 
@@ -185,9 +186,7 @@ def diagonalize_2x2_jordanlike(a: Quaternion, b: Quaternion) -> Optional[Similar
     return witness
 
 
-def unispectral_diagonalizable(
-    m: QMatrix, sqrt_budget: int = DEFAULT_SQRT_BUDGET
-) -> Optional[DiagonalizationCertificate]:
+def unispectral_diagonalizable(m: QMatrix) -> Optional[DiagonalizationCertificate]:
     """Certificate that M is similar to Diag(q, ..., q) for a single q, or None.
 
     Chain: rational scalar matrices are their own certificates; otherwise M
@@ -212,7 +211,7 @@ def unispectral_diagonalizable(
     disc = rel.trace * rel.trace / 4 - rel.norm
     if is_rational_square(disc):
         return None
-    s = sqrt_pure(disc, m.algebra, max_height=sqrt_budget)
+    s = sqrt_pure(disc, m.algebra)
     if s is None:
         return None
     q = m.algebra.scalar(rel.trace / 2) + s

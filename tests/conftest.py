@@ -1,33 +1,14 @@
-import random
-from fractions import Fraction
-
 import pytest
 
-from quatnil.qcore import AlgebraParams, Quaternion, hamilton_algebra
+from quatnil.gen import (  # noqa: F401  (the seeded random-entry helpers, re-exported)
+    _noncentral_quaternion as random_noncentral_quaternion,
+    _nonzero_quaternion as random_nonzero_quaternion,
+    _quaternion as random_quaternion,
+    _rational as random_rational,
+)
+from quatnil.qcore import AlgebraParams, hamilton_algebra
 
 
 @pytest.fixture(scope="session")
 def H() -> AlgebraParams:
     return hamilton_algebra()
-
-
-def random_rational(rng: random.Random, h: int = 10) -> Fraction:
-    return Fraction(rng.randint(-h, h), rng.choice((1, 1, 1, 2)))
-
-
-def random_quaternion(rng: random.Random, algebra: AlgebraParams, h: int = 10) -> Quaternion:
-    return algebra.quat(*(random_rational(rng, h) for _ in range(4)))
-
-
-def random_nonzero_quaternion(rng, algebra, h: int = 10) -> Quaternion:
-    while True:
-        q = random_quaternion(rng, algebra, h)
-        if not q.is_zero():
-            return q
-
-
-def random_noncentral_quaternion(rng, algebra, h: int = 10) -> Quaternion:
-    while True:
-        q = random_quaternion(rng, algebra, h)
-        if not q.is_central():
-            return q

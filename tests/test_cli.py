@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatnil import jsonio
+from quatnil import jsonio, qcore
 from quatnil.cli import main
 from quatnil.errors import ParseError
 from quatnil.qcore import AlgebraParams
@@ -105,6 +105,24 @@ class TestCli:
         assert main(["check", mat_path, str(out_path)]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ab", [(-1, -1), (-1, -7)])
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("block", ["J2(i)", "[[i,1],[0,j]]"])
+    def test_decompose_padded_2x2_block(self, ab, n, block, tmp_path, capsys):
+        # (2x2 block) + 0: the first corner bases admit no accepted trailing
+        # perturbation, so the reduction has to move on to a later x
+        alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+        top = {"J2(i)": alg.i(), "[[i,1],[0,j]]": alg.j()}[block]
+        rows = [[alg.zero()] * n for _ in range(n)]
+        rows[0][:2] = [alg.i(), alg.one()]
+        rows[1][1] = top
+        mat_path = write_matrix(tmp_path / "m.json", QMatrix(rows))
+        out_path = tmp_path / "dec.json"
+        assert main(["decompose", "-i", mat_path, "-o", str(out_path)]) == 0
+        capsys.readouterr()
+        assert main(["check", mat_path, str(out_path)]) == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_check_detects_tampering(self, H, tmp_path, capsys):
         m = QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]])
         mat_path = write_matrix(tmp_path / "m.json", m)
@@ -146,13 +164,14 @@ class TestCli:
         assert data["classification"]["verdict"] == "TypeIII"
         assert len(calls) == 1
 
-    def test_search_budget_exit_code(self, tmp_path, capsys):
+    def test_search_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # Diag(q, q, q) with q = 1001i + 997k over (-11,-13): the square root
         # behind the type-III test needs a height far above 1
+        monkeypatch.setattr(qcore, "SQRT_MAX_HEIGHT", 1)
         alg = AlgebraParams(Fraction(-11), Fraction(-13))
         q = alg.quat(0, 1001, 0, 997)
         path = write_matrix(tmp_path / "m.json", QMatrix.diagonal([q] * 3))
-        rc = main(["classify", "-i", path, "--search-budget", "1"])
+        rc = main(["classify", "-i", path])
         err = capsys.readouterr().err
         assert rc == 5
         assert err.startswith("error: ") and err.count("\n") == 1

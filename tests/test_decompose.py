@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quatnil.errors import PreconditionError
+from quatnil.errors import PreconditionError, SearchBudgetExceeded
 from quatnil.qlinalg import (
     QMatrix,
     QVector,
@@ -223,6 +223,27 @@ class TestDecompose:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "raised"
+
+    def test_candidate_lists_are_fixed_and_structured(self, H):
+        # units, then e_s + e_t*u for s != t, then e_s + e_t*u + e_r*v for s < t < r
+        for n in (2, 3, 4):
+            vectors = list(decompose_module._vector_candidates(n, H))
+            expected = n + 8 * n * (n - 1) + 64 * (n * (n - 1) * (n - 2) // 6)
+            assert len(vectors) == expected
+            assert vectors[:n] == [QVector.unit(n, s, H) for s in range(n)]
+        # the zero list, then one unit in one slot, then units in two slots
+        for k in (1, 2, 3):
+            lists = list(decompose_module._perturbation_lists(k, H))
+            assert len(lists) == len(set(lists)) == 1 + 8 * k + 64 * (k * (k - 1) // 2)
+            assert lists[0] == (H.zero(),) * k
+
+    def test_trial_decision_cap_raises(self, H, monkeypatch):
+        # J_2(i) + 0 needs ten corner bases before a trailing block is accepted
+        monkeypatch.setattr(decompose_module, "MAX_TRIAL_DECISIONS", 3)
+        z = H.zero()
+        m = QMatrix([[H.i(), H.one(), z, z], [z, H.i(), z, z], [z] * 4, [z] * 4])
+        with pytest.raises(SearchBudgetExceeded, match="3 decisions"):
+            decompose_two_nilpotents(m)
 
     def test_decides_once_and_never_classifies_again(self, H, monkeypatch):
         calls = []

@@ -527,9 +527,10 @@ class TestWitnessChecks:
             sylvester_solve(H.i(), H.i(), H.j())
 
     def test_translate_rejects_a_wrong_hyperplane(self, H, monkeypatch):
-        monkeypatch.setattr(ratlin, "solve", lambda rows, rhs: [Fraction(0)] * 4)
-        with pytest.raises(CertificateError):
-            translate_conjugate(H.quat(0, 2), H.zero())
+        for wrong in ([Fraction(0)] * 4, None):
+            monkeypatch.setattr(ratlin, "solve", lambda rows, rhs: wrong)
+            with pytest.raises(CertificateError):
+                translate_conjugate(H.quat(0, 2), H.zero())
 
     def test_commutator_rejects_a_wrong_conjugator(self, H, monkeypatch):
         monkeypatch.setattr(qcore, "conjugator", lambda p, q: p.algebra.one())
@@ -565,3 +566,95 @@ class TestWitnessChecks:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "raised"
+
+    def test_two_squares_rejects_a_wrong_split(self, monkeypatch):
+        with pytest.raises(PreconditionError):
+            qcore._two_squares_prime(7)
+        monkeypatch.setattr(qcore, "isqrt", lambda n: 0)
+        with pytest.raises(CertificateError):
+            qcore._two_squares_prime(13)
+
+    def test_three_squares_rejects_a_wrong_split(self, monkeypatch):
+        monkeypatch.setattr(qcore, "_two_squares_small", lambda n: (1, 0))
+        with pytest.raises(CertificateError):
+            qcore.three_squares(3)
+
+    def test_sqrt_pure_rejects_a_wrong_root(self, H, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(qcore, "three_squares", lambda t: (1, 0, 0))
+            with pytest.raises(CertificateError):
+                sqrt_pure(-3, H)
+        with monkeypatch.context() as patch:
+            patch.setattr(qcore, "three_squares", lambda t: None)
+            with pytest.raises(CertificateError):
+                sqrt_pure(-3, H)
+        # the shell search of other algebras: a doubled scale halves the root
+        original = qcore.squarefree_part
+
+        def doubled(r):
+            sf, scale = original(r)
+            return sf, 2 * scale
+
+        monkeypatch.setattr(qcore, "squarefree_part", doubled)
+        with pytest.raises(CertificateError):
+            sqrt_pure(-7, AlgebraParams(Fraction(-1), Fraction(-7)))
+
+    def test_result_checks_survive_optimize(self):
+        # python -O strips asserts; none of these checks of a returned value may be one
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = textwrap.dedent(
+            """
+            from fractions import Fraction
+
+            from quatnil import qcore, qlinalg, ratlin, spectral
+            from quatnil.errors import CertificateError
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            H = qcore.hamilton_algebra()
+            isqrt, squarefree_part = qcore.isqrt, qcore.squarefree_part
+            cases = [
+                (qcore, "isqrt", lambda n: 0, lambda: qcore._two_squares_prime(13)),
+                (qcore, "_two_squares_small", lambda n: (1, 0), lambda: qcore.three_squares(3)),
+                (qcore, "three_squares", lambda t: (1, 0, 0), lambda: qcore.sqrt_pure(-3, H)),
+                (
+                    qcore,
+                    "squarefree_part",
+                    lambda r: (squarefree_part(r)[0], 2 * squarefree_part(r)[1]),
+                    lambda: qcore.sqrt_pure(-7, qcore.AlgebraParams(Fraction(-1), Fraction(-7))),
+                ),
+                (
+                    ratlin,
+                    "solve",
+                    lambda rows, rhs: [Fraction(0)] * 4,
+                    lambda: spectral.triangular_eigenvector(
+                        qlinalg.QMatrix([[H.i()]]), qlinalg.QVector([H.one()]), H.quat(0, 2)
+                    ),
+                ),
+                (
+                    qlinalg,
+                    "rank",
+                    lambda m: 1,
+                    lambda: qlinalg.rank1_factor(qlinalg.QMatrix.identity(2, H)),
+                ),
+            ]
+            for module, name, fake, call in cases:
+                original = getattr(module, name)
+                setattr(module, name, fake)
+                try:
+                    call()
+                except CertificateError:
+                    print("raised")
+                finally:
+                    setattr(module, name, original)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["raised"] * 6

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from quatnil.errors import DimensionMismatchError, PreconditionError
+from quatnil import qlinalg
+from quatnil.errors import CertificateError, DimensionMismatchError, PreconditionError
 from quatnil.qlinalg import (
     QMatrix,
     QVector,
@@ -301,6 +302,12 @@ class TestRank1Factor:
     def test_zero_and_identity(self, H):
         assert rank1_factor(QMatrix.zeros(2, 2, H)) is None
         assert rank1_factor(QMatrix.identity(2, H)) is None
+
+    def test_rejects_a_wrong_factorization(self, H, monkeypatch):
+        # a rank-two matrix that a wrong rank lets through has no outer-product form
+        monkeypatch.setattr(qlinalg, "rank", lambda m: 1)
+        with pytest.raises(CertificateError):
+            rank1_factor(QMatrix.identity(2, H))
 
     def test_randomized_roundtrip(self, H):
         rng = random.Random(61)

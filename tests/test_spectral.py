@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from quatnil import ratlin
+from quatnil.errors import CertificateError
 from quatnil.qcore import are_conjugate
 from quatnil.qlinalg import (
     QMatrix,
@@ -90,6 +94,13 @@ class TestTriangularEigenvector:
         y = triangular_eigenvector(QMatrix([[H.zero()]]), QVector([H.zero()]), H.zero())
         assert y == QVector([H.one(), H.zero()])
         assert triangular_eigenvector(None, None, H.i()) == QVector([H.one()])
+
+    def test_case_two_rejects_a_wrong_solution(self, H, monkeypatch):
+        s, x0, t = QMatrix([[H.i()]]), QVector([H.one()]), H.quat(0, 2)
+        for wrong in ([Fraction(0)] * 4, None):
+            monkeypatch.setattr(ratlin, "solve", lambda rows, rhs: wrong)
+            with pytest.raises(CertificateError):
+                triangular_eigenvector(s, x0, t)
 
     def test_every_diagonal_entry_is_eigenvalue(self, H):
         # Corollary-style property on random upper triangular matrices.
