@@ -7,6 +7,7 @@ from .decompose import (
     decompose_two_nilpotents,
     diag_zero_form,
     field_diag_zero,
+    verify_certificate,
     verify_decomposition,
 )
 from .qcore import AlgebraParams, ConjClass, Quaternion, hamilton_algebra, rat
@@ -35,6 +36,7 @@ __all__ = [
     "is_sum_of_two_nilpotents",
     "rat",
     "unispectral_diagonalizable",
+    "verify_certificate",
     "verify_decomposition",
 ]
 

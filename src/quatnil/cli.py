@@ -1,5 +1,10 @@
 """Command-line interface: classify, decompose, check, gen, selftest.
 
+`check` proves the decomposition through its witness when the file carries
+both P and Pinv (`verify_certificate`: P*Pinv = I, N1 + N2 = M, P*N1*Pinv
+strictly upper, P*N2*Pinv strictly lower), and by powering N1 and N2 when it
+carries no witness (`verify_decomposition`).
+
 Exit codes: 0 success / decision yes; 1 `check` found the certificate
 INVALID (or `selftest` failed); 2 parse or invalid-request error; 3 decision
 no; 4 the requested algebra is not a division algebra; 5 a construction
@@ -17,7 +22,7 @@ import sys
 
 from . import jsonio
 from .classify import Verdict, is_sum_of_two_nilpotents
-from .decompose import decompose_two_nilpotents, verify_decomposition
+from .decompose import decompose_two_nilpotents, verify_certificate, verify_decomposition
 from .errors import (
     CertificateError,
     NotDivisionAlgebraError,
@@ -113,13 +118,18 @@ def cmd_check(args) -> int:
         raise ParseError(f"{args.decomposition}: {exc}") from exc
     try:
         dec = jsonio.decomposition_from_json(data)
-    except PreconditionError as exc:  # e.g. P and Pinv are not mutually inverse
+    except PreconditionError as exc:  # e.g. P and Pinv are not mutually inverse square matrices
         print("INVALID")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     if (dec.n1.rows, dec.n1.cols) != (m.rows, m.cols):
         raise ParseError("decomposition shape does not match the matrix")
-    good = verify_decomposition(m, dec.n1, dec.n2)
+    if dec.witness is None:
+        good = verify_decomposition(m, dec.n1, dec.n2)
+    elif dec.witness.P.rows != m.rows:
+        raise ParseError("witness size does not match the matrix")
+    else:
+        good = verify_certificate(m, dec.n1, dec.n2, dec.witness)
     print("OK" if good else "INVALID")
     return EXIT_OK if good else EXIT_FAILED
 

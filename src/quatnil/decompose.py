@@ -11,6 +11,9 @@ step for larger sizes, which hands the accepted block's own decision to the
 recursion.  The reductions build their witnesses without re-checking them.
 Each public function checks the certificate it returns once, with explicit
 tests that `python -O` keeps, and raises CertificateError if a check fails.
+A decomposition is checked through its witness (`verify_certificate`):
+P*N1*Pinv strictly upper and P*N2*Pinv strictly lower triangular prove
+both summands nilpotent without powering them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .qlinalg import (
     reduced_trace,
     strict_split,
 )
-from .spectral import checked_witness, eigenvectors_for
+from .spectral import checked_witness
 
 #: Most trial decisions of perturbed trailing blocks in one `_diag_zero_large` call.
 MAX_TRIAL_DECISIONS = 600
@@ -70,6 +73,28 @@ def verify_decomposition(m: QMatrix, n1: QMatrix, n2: QMatrix) -> bool:
     if m.rows != n1.rows or m.rows != n2.rows or m.cols != n1.cols or m.cols != n2.cols:
         return False
     return n1 + n2 == m and is_nilpotent(n1) and is_nilpotent(n2)
+
+
+def verify_certificate(
+    m: QMatrix, n1: QMatrix, n2: QMatrix, witness: SimilarityWitness
+) -> bool:
+    """Certificate checker: the witness triangularizes both summands, exactly.
+
+    True when M, N1, N2, P and Pinv are square of one size, P*Pinv = I,
+    N1 + N2 = M, P*N1*Pinv is strictly upper and P*N2*Pinv strictly lower
+    triangular.  A matrix similar to a strictly triangular one is nilpotent,
+    so this proves what `verify_decomposition` proves, and it also checks
+    that P is the similarity that splits M.
+    """
+    p, pinv = witness.P, witness.Pinv
+    n = m.rows
+    if any((a.rows, a.cols) != (n, n) for a in (m, n1, n2, p, pinv)):
+        return False
+    if p * pinv != QMatrix.identity(n, m.algebra) or n1 + n2 != m:
+        return False
+    upper = p * n1 * pinv
+    # once the sum holds, P*N2*Pinv = P*M*Pinv - P*N1*Pinv, and M has the lowest height
+    return upper.is_strictly_upper() and (p * m * pinv - upper).is_strictly_lower()
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +163,15 @@ def _unit_vectors(n: int, alg: AlgebraParams) -> list[QVector]:
 def _certify(m: QMatrix, w: SimilarityWitness) -> tuple[SimilarityWitness, QMatrix]:
     """The boundary check: (P, Pinv) mutually inverse and P*M*Pinv with zero diagonal."""
     w = checked_witness(w.P, w.Pinv)
+    return w, _zero_diagonal_conjugate(m, w)
+
+
+def _zero_diagonal_conjugate(m: QMatrix, w: SimilarityWitness) -> QMatrix:
+    """P*M*Pinv, which the witness must bring to a zero diagonal."""
     d = conjugate_by(m, w)
     if not d.has_zero_diagonal():
         raise CertificateError("witness does not conjugate the matrix to a zero diagonal")
-    return w, d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +232,16 @@ def _units(alg: AlgebraParams) -> list[Quaternion]:
 
 
 def _vector_candidates(n: int, alg: AlgebraParams) -> Iterator[QVector]:
-    """Unit vectors e_s, then e_s + e_t*u, then e_s + e_t*u + e_r*v, for units u and v."""
+    """Unit vectors e_s, then e_s + e_t*u, then e_s + e_t*u + e_r*v, for units u and v.
+
+    For u = ±1 the pair (t, s) gives ±(e_s + e_t*u) again, so a central u is
+    taken only with s < t, and no candidate is ± an earlier one.
+    """
     e, units = _unit_vectors(n, alg), _units(alg)
     yield from e
     for (s, t), u in itertools.product(itertools.permutations(range(n), 2), units):
-        yield e[s] + e[t].scale_right(u)
+        if s < t or not u.is_central():
+            yield e[s] + e[t].scale_right(u)
     for (s, t, r), u, v in itertools.product(itertools.combinations(range(n), 3), units, units):
         yield e[s] + e[t].scale_right(u) + e[r].scale_right(v)
 
@@ -256,17 +291,17 @@ def diag_zero_form(m: QMatrix) -> SimilarityWitness:
     mathematical rejection; a witness that fails its check raises
     CertificateError.
     """
-    return _decided_diag_zero(m)[0]
+    return _certify(m, _decided_diag_zero(m))[0]
 
 
-def _decided_diag_zero(m: QMatrix) -> tuple[SimilarityWitness, QMatrix]:
-    """Decide M once, reduce it by that decision, and certify the result."""
+def _decided_diag_zero(m: QMatrix) -> SimilarityWitness:
+    """Decide M once and reduce it by that decision; the witness is not yet checked."""
     decision = is_sum_of_two_nilpotents(m)
     if not decision.answer:
         raise PreconditionError(
             f"matrix is not a sum of two nilpotents (reason: {decision.reason.value})"
         )
-    return _certify(m, _diag_zero(m, decision))
+    return _diag_zero(m, decision)
 
 
 def _diag_zero(m: QMatrix, decision: Decision) -> SimilarityWitness:
@@ -286,14 +321,15 @@ def _diag_zero(m: QMatrix, decision: Decision) -> SimilarityWitness:
 def _diag_zero_2x2(m: QMatrix, decision: Decision) -> SimilarityWitness:
     """Basis (x, Mx) for an eigenvector x of M*M gives [[0, q], [1, 0]].
 
-    q is the eigenvalue of the certificate for M*M that the decision built.
+    q is the eigenvalue of the certificate for M*M that the decision built,
+    and the certificate carries the Q-basis of the eigenvectors for q.
     """
-    q = decision.square_certificate.eigenvalue
-    if q.is_central():
+    square = decision.square_certificate
+    if square.eigenvalue.is_central():
         # M*M = q*I, so every nonzero vector is an eigenvector of the square.
         bases = _corner_bases(m)
     else:
-        basis = eigenvectors_for(m * m, q).basis
+        basis = square.solution_basis
         candidates = list(basis)
         candidates += [u + v for s, u in enumerate(basis) for v in basis[s + 1 :]]
         candidates += [u - v for s, u in enumerate(basis) for v in basis[s + 1 :]]
@@ -435,14 +471,15 @@ def decompose_two_nilpotents(m: QMatrix) -> TwoNilpotentDecomposition:
 
     The zero-diagonal conjugate splits into strictly upper and strictly
     lower triangular parts; N1 is the pullback of the upper part and
-    N2 = M - N1 that of the lower one.  The witness pair, the zero diagonal
-    and `verify_decomposition` are checked before returning, and a failed
-    check raises CertificateError.
+    N2 = M - N1 that of the lower one.  The zero diagonal and then
+    `verify_certificate` are checked before returning, and a failed check
+    raises CertificateError.
     """
-    witness, d = _decided_diag_zero(m)
+    witness = _decided_diag_zero(m)
+    d = _zero_diagonal_conjugate(m, witness)
     upper, _ = strict_split(d)
     n1 = conjugate_by(upper, witness.inverse())
     n2 = m - n1
-    if not verify_decomposition(m, n1, n2):
-        raise CertificateError("decomposition failed the independent check")
+    if not verify_certificate(m, n1, n2, witness):
+        raise CertificateError("decomposition failed its certificate check")
     return TwoNilpotentDecomposition(n1=n1, n2=n2, witness=witness, diag_zero=d)

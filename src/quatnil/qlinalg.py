@@ -166,6 +166,14 @@ class QMatrix:
     def has_zero_diagonal(self) -> bool:
         return all(e.is_zero() for e in self.diagonal_entries())
 
+    def is_strictly_upper(self) -> bool:
+        """Whether every entry on or below the diagonal is zero."""
+        return all(e.is_zero() for r, row in enumerate(self.entries) for e in row[: r + 1])
+
+    def is_strictly_lower(self) -> bool:
+        """Whether every entry on or above the diagonal is zero."""
+        return all(e.is_zero() for r, row in enumerate(self.entries) for e in row[r:])
+
     def is_rational(self) -> bool:
         return all(e.is_central() for row in self.entries for e in row)
 
@@ -317,14 +325,21 @@ def independent_subfamily(vectors: Sequence[QVector]) -> list[QVector]:
 
 @dataclass(frozen=True)
 class SimilarityWitness:
-    """Invertible basis-change pair; conjugation is P * M * Pinv."""
+    """Invertible basis-change pair; conjugation is P * M * Pinv.
+
+    The constructor checks that P and Pinv are square of one size and that
+    P * Pinv = I; for square matrices over a division ring a one-sided
+    inverse is two-sided, so Pinv * P = I follows.
+    """
 
     P: QMatrix
     Pinv: QMatrix
 
     def __post_init__(self):
-        ident = QMatrix.identity(self.P.rows, self.P.algebra)
-        if self.P * self.Pinv != ident or self.Pinv * self.P != ident:
+        n = self.P.rows
+        if (self.P.cols, self.Pinv.rows, self.Pinv.cols) != (n, n, n):
+            raise PreconditionError("witness pair must be square matrices of one size")
+        if self.P * self.Pinv != QMatrix.identity(n, self.P.algebra):
             raise PreconditionError("witness pair is not a mutual inverse pair")
 
     @classmethod

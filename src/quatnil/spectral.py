@@ -12,7 +12,7 @@ wrong positive answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -54,10 +54,16 @@ class QuadraticRelation:
 
 @dataclass(frozen=True)
 class DiagonalizationCertificate:
-    """Witness with P * M * Pinv == Diag(q, ..., q) exactly."""
+    """Witness with P * M * Pinv == Diag(q, ..., q) exactly.
+
+    `solution_basis` is the Q-basis of {X : M X = X q} that the columns of
+    Pinv were picked from (empty for a rational scalar M); it is kept for
+    reuse, and neither serialized nor compared.
+    """
 
     eigenvalue: Quaternion
     witness: SimilarityWitness
+    solution_basis: tuple[QVector, ...] = field(default=(), compare=False, repr=False)
 
 
 def checked_witness(p: QMatrix, pinv: QMatrix) -> SimilarityWitness:
@@ -229,4 +235,6 @@ def unispectral_diagonalizable(m: QMatrix) -> Optional[DiagonalizationCertificat
         or m * pinv_mat != pinv_mat.scale_right(q)
     ):
         raise CertificateError("the eigenbasis does not diagonalize the matrix")
-    return DiagonalizationCertificate(q, SimilarityWitness._trusted(p_mat, pinv_mat))
+    return DiagonalizationCertificate(
+        q, SimilarityWitness._trusted(p_mat, pinv_mat), tuple(solution.basis)
+    )

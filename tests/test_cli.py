@@ -63,6 +63,31 @@ def write_matrix(path, m):
     return str(path)
 
 
+def decomposed(H, tmp_path):
+    """Matrix path and decomposition document for [[0, i], [i, 0]]."""
+    mat_path = write_matrix(tmp_path / "m.json", QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]]))
+    out_path = tmp_path / "dec.json"
+    assert main(["decompose", "-i", mat_path, "-o", str(out_path)]) == 0
+    return mat_path, json.loads(out_path.read_text())
+
+
+def check(mat_path, data, tmp_path, capsys):
+    """(exit code, stdout, stderr) of `quatnil check` on a decomposition document."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["check", mat_path, str(path)])
+    captured = capsys.readouterr()
+    return rc, captured.out.strip(), captured.err
+
+
+def move_corner(data):
+    """Move 1 from N2[0][0] to N1[0][0]: the sum is kept, nilpotency is lost."""
+    for key, delta in (("N1", 1), ("N2", -1)):
+        entry = data[key]["entries"][0][0]
+        entry[0] = str(Fraction(entry[0]) + delta)
+
+
 class TestCli:
     def test_classify_type_ii_non_example(self, H, tmp_path, capsys):
         m = QMatrix.diagonal([H.i(), H.zero(), H.zero()])
@@ -149,6 +174,38 @@ class TestCli:
         assert captured.out.strip() == "INVALID"
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_check_moved_corner_is_invalid(self, H, tmp_path, capsys):
+        mat_path, data = decomposed(H, tmp_path)
+        move_corner(data)
+        assert check(mat_path, data, tmp_path, capsys)[:2] == (1, "INVALID")
+
+    def test_check_witness_must_triangularize(self, H, tmp_path, capsys):
+        # swapped summands: nilpotent with sum M and a valid witness pair, but
+        # P*N1*Pinv is strictly lower
+        mat_path, data = decomposed(H, tmp_path)
+        data["N1"], data["N2"] = data["N2"], data["N1"]
+        assert check(mat_path, data, tmp_path, capsys)[:2] == (1, "INVALID")
+        # without the witness only nilpotency and the sum are checked
+        del data["P"], data["Pinv"]
+        assert check(mat_path, data, tmp_path, capsys)[:2] == (0, "OK")
+
+    def test_check_without_witness(self, H, tmp_path, capsys):
+        mat_path, data = decomposed(H, tmp_path)
+        del data["P"], data["Pinv"], data["diagZero"]
+        assert check(mat_path, data, tmp_path, capsys)[:2] == (0, "OK")
+        move_corner(data)
+        assert check(mat_path, data, tmp_path, capsys)[:2] == (1, "INVALID")
+
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 3), (3, 3)])
+    def test_check_witness_of_wrong_size(self, H, tmp_path, capsys, sizes):
+        mat_path, data = decomposed(H, tmp_path)
+        for key, n in zip(("P", "Pinv"), sizes):
+            data[key] = jsonio.matrix_to_json(QMatrix.identity(n, H))
+        rc, out, err = check(mat_path, data, tmp_path, capsys)
+        # a pair of two sizes is not a witness; a 3x3 pair does not fit the 2x2 matrix
+        assert (rc, out) == ((2, "") if sizes == (3, 3) else (1, "INVALID"))
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_classify_runs_one_classification(self, H, tmp_path, capsys, monkeypatch):
         calls = []
         original = classify_module.classify
@@ -177,7 +234,7 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_certificate_error_exit_code(self, H, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(decompose_module, "verify_decomposition", lambda *args: False)
+        monkeypatch.setattr(decompose_module, "verify_certificate", lambda *args: False)
         path = write_matrix(tmp_path / "m.json", QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]]))
         rc = main(["decompose", "-i", path, "-o", str(tmp_path / "dec.json")])
         err = capsys.readouterr().err

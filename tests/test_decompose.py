@@ -12,6 +12,7 @@ from quatnil.errors import PreconditionError, SearchBudgetExceeded
 from quatnil.qlinalg import (
     QMatrix,
     QVector,
+    SimilarityWitness,
     conjugate_by,
     outer,
     reduced_trace,
@@ -22,6 +23,7 @@ from quatnil.decompose import (
     decompose_two_nilpotents,
     diag_zero_form,
     field_diag_zero,
+    verify_certificate,
     verify_decomposition,
 )
 
@@ -36,11 +38,17 @@ def rational_matrix(rng, H, n, h=4):
     return QMatrix([[H.scalar(Fraction(rng.randint(-h, h))) for _ in range(n)] for _ in range(n)])
 
 
+def assert_both_checks_pass(m, dec):
+    """The witness-free check and the certificate check agree on a built decomposition."""
+    assert verify_decomposition(m, dec.n1, dec.n2)
+    assert verify_certificate(m, dec.n1, dec.n2, dec.witness)
+
+
 class TestVerifyDecomposition:
     def test_valid(self, H):
         m = QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]])
         dec = decompose_two_nilpotents(m)
-        assert verify_decomposition(m, dec.n1, dec.n2)
+        assert_both_checks_pass(m, dec)
 
     def test_non_nilpotent_summand(self, H):
         m = QMatrix.diagonal([H.i(), H.j()])
@@ -55,6 +63,46 @@ class TestVerifyDecomposition:
     def test_shape_mismatch(self, H):
         m = QMatrix.zeros(2, 2, H)
         assert not verify_decomposition(m, QMatrix.zeros(3, 3, H), QMatrix.zeros(2, 2, H))
+
+
+class TestVerifyCertificate:
+    @pytest.fixture
+    def built(self, H):
+        m = QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]])
+        return m, decompose_two_nilpotents(m)
+
+    def test_witness_that_does_not_triangularize(self, H, built):
+        # swapped summands: both nilpotent with sum M, so the witness-free
+        # check passes, but P*N1*Pinv is strictly lower
+        m, dec = built
+        assert verify_decomposition(m, dec.n2, dec.n1)
+        assert not verify_certificate(m, dec.n2, dec.n1, dec.witness)
+        swap = QMatrix([[H.zero(), H.one()], [H.one(), H.zero()]])
+        assert not verify_certificate(m, dec.n1, dec.n2, SimilarityWitness(swap, swap))
+
+    def test_moved_diagonal_entry(self, H, built):
+        # N2[0][0] -> N1[0][0]: the sum still holds, the summands are not nilpotent
+        m, dec = built
+        bump = QMatrix([[H.one(), H.zero()], [H.zero(), H.zero()]])
+        n1, n2 = dec.n1 + bump, dec.n2 - bump
+        assert n1 + n2 == m
+        assert not verify_decomposition(m, n1, n2)
+        assert not verify_certificate(m, n1, n2, dec.witness)
+
+    def test_wrong_sum(self, built):
+        m, dec = built
+        assert not verify_certificate(m, dec.n1, dec.n1, dec.witness)
+
+    def test_witness_not_inverse(self, built):
+        m, dec = built
+        bad = SimilarityWitness._trusted(dec.witness.P.scale_right(2), dec.witness.Pinv)
+        assert not verify_certificate(m, dec.n1, dec.n2, bad)
+
+    def test_shape_mismatch(self, H):
+        m = QMatrix.zeros(2, 2, H)
+        assert not verify_certificate(m, m, m, SimilarityWitness.identity(3, H))
+        z3 = QMatrix.zeros(3, 3, H)
+        assert not verify_certificate(m, z3, m, SimilarityWitness.identity(2, H))
 
 
 class TestFieldDiagZero:
@@ -182,7 +230,7 @@ class TestDecompose:
     def test_constant_diagonal_n4(self, H):
         m = QMatrix.diagonal([H.i()] * 4)
         dec = decompose_two_nilpotents(m)
-        assert verify_decomposition(m, dec.n1, dec.n2)
+        assert_both_checks_pass(m, dec)
 
     def test_rejects_decision_no(self, H):
         with pytest.raises(PreconditionError):
@@ -206,7 +254,7 @@ class TestDecompose:
 
             if __debug__:
                 raise SystemExit("not running under -O")
-            d.verify_decomposition = lambda *args: False
+            d.verify_certificate = lambda *args: False
             H = hamilton_algebra()
             try:
                 d.decompose_two_nilpotents(QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]]))
@@ -225,12 +273,17 @@ class TestDecompose:
         assert out.stdout.strip() == "raised"
 
     def test_candidate_lists_are_fixed_and_structured(self, H):
-        # units, then e_s + e_t*u for s != t, then e_s + e_t*u + e_r*v for s < t < r
+        # units, then e_s + e_t*u for s != t (s < t when u = ±1), then
+        # e_s + e_t*u + e_r*v for s < t < r
         for n in (2, 3, 4):
             vectors = list(decompose_module._vector_candidates(n, H))
-            expected = n + 8 * n * (n - 1) + 64 * (n * (n - 1) * (n - 2) // 6)
+            expected = n + 7 * n * (n - 1) + 64 * (n * (n - 1) * (n - 2) // 6)
             assert len(vectors) == expected
             assert vectors[:n] == [QVector.unit(n, s, H) for s in range(n)]
+            seen = set()
+            for v in vectors:
+                assert v not in seen and -v not in seen
+                seen.add(v)
         # the zero list, then one unit in one slot, then units in two slots
         for k in (1, 2, 3):
             lists = list(decompose_module._perturbation_lists(k, H))
@@ -256,7 +309,7 @@ class TestDecompose:
         monkeypatch.setattr(classify_module, "classify", counted)
         m = QMatrix([[H.zero(), H.i(), H.j()], [H.i(), H.zero(), H.k()], [H.one(), H.j(), H.zero()]])
         dec = decompose_two_nilpotents(m)
-        assert verify_decomposition(m, dec.n1, dec.n2)
+        assert_both_checks_pass(m, dec)
         assert calls == [m]
 
     def test_2x2_certifies_the_square_once(self, H, monkeypatch):
@@ -277,8 +330,25 @@ class TestDecompose:
         ):
             calls.clear()
             dec = decompose_two_nilpotents(m)
-            assert verify_decomposition(m, dec.n1, dec.n2)
+            assert_both_checks_pass(m, dec)
             assert sum(1 for a in calls if a == m * m) == 1
+
+    def test_2x2_solves_the_square_eigen_system_once(self, H, monkeypatch):
+        calls = []
+        original = spectral_module.eigenvectors_for
+
+        def counted(m, q):
+            calls.append(m)
+            return original(m, q)
+
+        for module in (spectral_module, decompose_module):
+            monkeypatch.setattr(module, "eigenvectors_for", counted, raising=False)
+        # M*M = Diag(k, -k) is noncentral: the reduction reads the eigenvectors
+        # of the square off the decision's certificate
+        m = QMatrix([[H.zero(), H.i()], [H.j(), H.zero()]])
+        dec = decompose_two_nilpotents(m)
+        assert_both_checks_pass(m, dec)
+        assert calls == [m * m]
 
     def test_witness_and_form_fields(self, H):
         m = QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]])
@@ -297,7 +367,7 @@ class TestDecompose:
             head = head - rt * ct
         m = QMatrix.scalar(3, lam, H) + outer(c, QVector([head] + rest))
         dec = decompose_two_nilpotents(m)
-        assert verify_decomposition(m, dec.n1, dec.n2)
+        assert_both_checks_pass(m, dec)
 
     def test_type_ii_nilpotent_image_path(self, H):
         # lam = 0 with the rank-one part annihilating its own image.
@@ -309,7 +379,7 @@ class TestDecompose:
         row = QVector([row[0] - q_a * c[0].inverse(), row[1], row[2]])
         m = outer(c, row)
         dec = decompose_two_nilpotents(m)
-        assert verify_decomposition(m, dec.n1, dec.n2)
+        assert_both_checks_pass(m, dec)
 
     def test_round_trip_small_sizes(self, H):
         rng = random.Random(7)
@@ -328,5 +398,5 @@ class TestDecompose:
             if not d.answer:
                 continue
             dec = decompose_two_nilpotents(m)
-            assert verify_decomposition(m, dec.n1, dec.n2)
+            assert_both_checks_pass(m, dec)
             done[n] += 1

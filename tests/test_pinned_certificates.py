@@ -15,7 +15,7 @@ import pytest
 
 from quatnil import jsonio
 from quatnil.classify import classify, is_sum_of_two_nilpotents
-from quatnil.decompose import decompose_two_nilpotents
+from quatnil.decompose import decompose_two_nilpotents, verify_certificate, verify_decomposition
 from quatnil.errors import SearchBudgetExceeded
 from quatnil.gen import InstanceSpec, generate, two_square_zero_sum
 from quatnil.qcore import AlgebraParams
@@ -94,6 +94,9 @@ def test_decomposition_digest(key):
     assert is_sum_of_two_nilpotents(m).answer
     dec = decompose_two_nilpotents(m)
     assert _digest(jsonio.decomposition_to_json(dec)) == DECOMPOSITIONS[key]
+    # the certificate check and the witness-free check agree
+    assert verify_certificate(m, dec.n1, dec.n2, dec.witness)
+    assert verify_decomposition(m, dec.n1, dec.n2)
 
 
 # label -> (instance, digest of decision_to_json, digest of classification_to_json)

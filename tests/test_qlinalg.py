@@ -202,6 +202,16 @@ class TestConjugateBy:
         with pytest.raises(PreconditionError):
             SimilarityWitness(QMatrix.identity(2, H), QMatrix.diagonal([H.i(), H.one()]))
 
+    def test_witness_must_be_square(self, H):
+        # P*Pinv = I_1 while Pinv*P is not I_2: only the squareness test rejects this
+        one, zero = H.one(), H.zero()
+        p, pinv = QMatrix([[one, zero]]), QMatrix([[one], [zero]])
+        assert p * pinv == QMatrix.identity(1, H)
+        with pytest.raises(PreconditionError):
+            SimilarityWitness(p, pinv)
+        with pytest.raises(PreconditionError):
+            SimilarityWitness(QMatrix.identity(2, H), QMatrix.identity(3, H))
+
 
 class TestNilpotency:
     def test_strict_upper(self, H):
@@ -288,6 +298,13 @@ class TestStrictSplit:
     def test_nonzero_diagonal_rejected(self, H):
         with pytest.raises(PreconditionError):
             strict_split(QMatrix.identity(2, H))
+
+    def test_strictly_triangular(self, H):
+        upper = QMatrix([[H.zero(), H.i()], [H.zero(), H.zero()]])
+        assert upper.is_strictly_upper() and not upper.is_strictly_lower()
+        assert QMatrix.zeros(2, 2, H).is_strictly_upper()
+        assert not QMatrix.diagonal([H.zero(), H.j()]).is_strictly_upper()
+        assert not QMatrix.diagonal([H.zero(), H.j()]).is_strictly_lower()
 
 
 class TestRank1Factor:
