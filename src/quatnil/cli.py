@@ -2,16 +2,17 @@
 
 `check` proves the decomposition through its witness when the file carries
 both P and Pinv (`verify_certificate`: P*Pinv = I, N1 + N2 = M, P*N1*Pinv
-strictly upper, P*N2*Pinv strictly lower), and by powering N1 and N2 when it
-carries no witness (`verify_decomposition`).
+strictly upper, P*N2*Pinv strictly lower; a failure prints its reason as an
+`error:` line after INVALID), and by powering N1 and N2 when it carries no
+witness (`verify_decomposition`).
 
 Exit codes: 0 success / decision yes; 1 `check` found the certificate
 INVALID (or `selftest` failed); 2 parse or invalid-request error; 3 decision
 no; 4 the requested algebra is not a division algebra; 5 a construction
-search ran out (SearchBudgetExceeded: the sqrt_pure height bound or the
-trial-decision cap of the n >= 4 reduction); 6 a certificate failed its final
-check (CertificateError, a defect in the library).  Errors print one `error:`
-line.
+search ran out (SearchBudgetExceeded: the trial-decision cap of the n >= 4
+reduction; the decision never runs out); 6 a certificate failed its final
+check (CertificateError, a defect in the library).  Errors print one
+`error:` line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 from . import jsonio
 from .classify import Verdict, is_sum_of_two_nilpotents
-from .decompose import decompose_two_nilpotents, verify_certificate, verify_decomposition
+from .decompose import certificate_defect, decompose_two_nilpotents, verify_decomposition
 from .errors import (
     CertificateError,
     NotDivisionAlgebraError,
@@ -118,19 +119,23 @@ def cmd_check(args) -> int:
         raise ParseError(f"{args.decomposition}: {exc}") from exc
     try:
         dec = jsonio.decomposition_from_json(data)
-    except PreconditionError as exc:  # e.g. P and Pinv are not mutually inverse square matrices
+    except PreconditionError as exc:  # P and Pinv are not square matrices of one size
         print("INVALID")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     if (dec.n1.rows, dec.n1.cols) != (m.rows, m.cols):
         raise ParseError("decomposition shape does not match the matrix")
+    defect = None
     if dec.witness is None:
         good = verify_decomposition(m, dec.n1, dec.n2)
     elif dec.witness.P.rows != m.rows:
         raise ParseError("witness size does not match the matrix")
     else:
-        good = verify_certificate(m, dec.n1, dec.n2, dec.witness)
+        defect = certificate_defect(m, dec.n1, dec.n2, dec.witness)
+        good = defect is None
     print("OK" if good else "INVALID")
+    if defect is not None:
+        print(f"error: {defect}", file=sys.stderr)
     return EXIT_OK if good else EXIT_FAILED
 
 

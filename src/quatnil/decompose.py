@@ -76,7 +76,11 @@ def verify_decomposition(m: QMatrix, n1: QMatrix, n2: QMatrix) -> bool:
 
 
 def verify_certificate(
-    m: QMatrix, n1: QMatrix, n2: QMatrix, witness: SimilarityWitness
+    m: QMatrix,
+    n1: QMatrix,
+    n2: QMatrix,
+    witness: SimilarityWitness,
+    conjugate: Optional[QMatrix] = None,
 ) -> bool:
     """Certificate checker: the witness triangularizes both summands, exactly.
 
@@ -84,17 +88,37 @@ def verify_certificate(
     N1 + N2 = M, P*N1*Pinv is strictly upper and P*N2*Pinv strictly lower
     triangular.  A matrix similar to a strictly triangular one is nilpotent,
     so this proves what `verify_decomposition` proves, and it also checks
-    that P is the similarity that splits M.
+    that P is the similarity that splits M.  `conjugate` is P*M*Pinv where
+    the caller has already computed it from this witness.
     """
+    return certificate_defect(m, n1, n2, witness, conjugate) is None
+
+
+def certificate_defect(
+    m: QMatrix,
+    n1: QMatrix,
+    n2: QMatrix,
+    witness: SimilarityWitness,
+    conjugate: Optional[QMatrix] = None,
+) -> Optional[str]:
+    """The first condition of `verify_certificate` that fails, or None when all hold."""
     p, pinv = witness.P, witness.Pinv
     n = m.rows
     if any((a.rows, a.cols) != (n, n) for a in (m, n1, n2, p, pinv)):
-        return False
-    if p * pinv != QMatrix.identity(n, m.algebra) or n1 + n2 != m:
-        return False
+        return "the matrices are not square of one size"
+    if p * pinv != QMatrix.identity(n, m.algebra):
+        return "P*Pinv is not the identity"
+    if n1 + n2 != m:
+        return "N1 + N2 is not M"
     upper = p * n1 * pinv
+    if not upper.is_strictly_upper():
+        return "P*N1*Pinv is not strictly upper triangular"
     # once the sum holds, P*N2*Pinv = P*M*Pinv - P*N1*Pinv, and M has the lowest height
-    return upper.is_strictly_upper() and (p * m * pinv - upper).is_strictly_lower()
+    if conjugate is None:
+        conjugate = p * m * pinv
+    if not (conjugate - upper).is_strictly_lower():
+        return "P*N2*Pinv is not strictly lower triangular"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +309,11 @@ def _corner_bases(m: QMatrix) -> Iterator[SimilarityWitness]:
 def diag_zero_form(m: QMatrix) -> SimilarityWitness:
     """Witness conjugating M to a matrix with zero diagonal.
 
-    Precondition: the decision procedure accepts M.  A construction search
-    that runs out (the sqrt_pure height bound or the trial-decision cap of
-    the n >= 4 step) raises SearchBudgetExceeded, which is never a
-    mathematical rejection; a witness that fails its check raises
-    CertificateError.
+    Precondition: the decision procedure accepts M, which never runs out.
+    A construction search that does (the trial-decision cap of the n >= 4
+    step, or the end of a fixed candidate list) raises SearchBudgetExceeded,
+    which is never a mathematical rejection; a witness that fails its check
+    raises CertificateError.
     """
     return _certify(m, _decided_diag_zero(m))[0]
 
@@ -437,11 +461,7 @@ def _diag_zero_large(m: QMatrix) -> SimilarityWitness:
                 [[zero, *qlist]] + [[zero] * (n - 1) for _ in range(n - 2)]
             )
             candidate = trailing + bump
-            try:
-                decision = is_sum_of_two_nilpotents(candidate)
-            except SearchBudgetExceeded:
-                # undecided; any accepted perturbation works, try the next
-                continue
+            decision = is_sum_of_two_nilpotents(candidate)
             if decision.answer:
                 sheared = SimilarityWitness._trusted(shear([-q for q in qlist]), shear(qlist))
                 w_sub = _diag_zero(candidate, decision)
@@ -472,14 +492,14 @@ def decompose_two_nilpotents(m: QMatrix) -> TwoNilpotentDecomposition:
     The zero-diagonal conjugate splits into strictly upper and strictly
     lower triangular parts; N1 is the pullback of the upper part and
     N2 = M - N1 that of the lower one.  The zero diagonal and then
-    `verify_certificate` are checked before returning, and a failed check
-    raises CertificateError.
+    `verify_certificate`, which reuses the conjugate P*M*Pinv, are checked
+    before returning, and a failed check raises CertificateError.
     """
     witness = _decided_diag_zero(m)
     d = _zero_diagonal_conjugate(m, witness)
     upper, _ = strict_split(d)
     n1 = conjugate_by(upper, witness.inverse())
     n2 = m - n1
-    if not verify_certificate(m, n1, n2, witness):
+    if not verify_certificate(m, n1, n2, witness, d):
         raise CertificateError("decomposition failed its certificate check")
     return TwoNilpotentDecomposition(n1=n1, n2=n2, witness=witness, diag_zero=d)

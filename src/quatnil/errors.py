@@ -38,9 +38,10 @@ class SearchBudgetExceeded(QuatnilError, RuntimeError):
 
     Distinct from a negative decision: the existence question was answered
     yes (or is guaranteed), only the construction failed to find a witness.
-    Two fixed bounds can cause it: the shell height of the sqrt_pure search
-    and the cap on trial decisions in the n >= 4 reduction; the other
-    construction searches run through fixed structured candidate lists.
+    One fixed bound can cause it: the cap on trial decisions in the n >= 4
+    reduction; the other construction searches run through fixed structured
+    candidate lists.  The decision never raises it: `sqrt_pure` builds its
+    roots by a conic descent that always ends.
     """
 
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .classify import Classification, Decision, Reason, TypeIIData
 from .decompose import TwoNilpotentDecomposition
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .qcore import AlgebraParams, ConjClass, Quaternion
 from .qlinalg import QMatrix, SimilarityWitness
 from .spectral import DiagonalizationCertificate
@@ -88,6 +88,11 @@ def decomposition_to_json(dec: TwoNilpotentDecomposition) -> dict:
 
 
 def decomposition_from_json(data) -> TwoNilpotentDecomposition:
+    """The decomposition a document carries, with its witness loaded as data.
+
+    The witness pair must be square of one size (PreconditionError if not);
+    P*Pinv = I is left to `verify_certificate`, which multiplies them once.
+    """
     if not isinstance(data, dict) or "N1" not in data or "N2" not in data:
         raise ParseError("decomposition object must carry 'N1' and 'N2'")
     n1 = matrix_from_json(data["N1"])
@@ -102,7 +107,10 @@ def decomposition_from_json(data) -> TwoNilpotentDecomposition:
     n2 = load("N2")
     witness = None
     if "P" in data and "Pinv" in data:
-        witness = SimilarityWitness(load("P"), load("Pinv"))
+        p, pinv = load("P"), load("Pinv")
+        if not p.is_square() or (pinv.rows, pinv.cols) != (p.rows, p.cols):
+            raise PreconditionError("witness pair must be square matrices of one size")
+        witness = SimilarityWitness._trusted(p, pinv)
     diag_zero = load("diagZero") if "diagZero" in data else None
     return TwoNilpotentDecomposition(n1=n1, n2=n2, witness=witness, diag_zero=diag_zero)
 

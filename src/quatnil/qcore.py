@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, Optional, Union
 
 from . import ratlin
@@ -25,13 +25,9 @@ from .errors import (
     ObstructionError,
     ParameterError,
     PreconditionError,
-    SearchBudgetExceeded,
 )
 
 RationalLike = Union[int, str, Fraction]
-
-#: Cap on the shell height of the integral search in sqrt_pure, read at each call.
-SQRT_MAX_HEIGHT = 64
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -48,19 +44,102 @@ def rat(value: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n > 0 by trial division (desk-scale inputs)."""
+#: The primes below 1000: the trial divisors of `_trial_divide`.
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below 3.3e24."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """(factors, rest) with n = rest * prod(p**e), by trial division by the primes below 1000.
+
+    rest is 1 or above 10**6 and free of primes below 1000, so it is prime
+    or a product of larger primes; `_is_prime` is exact on it.
+    """
     factors: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return factors
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    if 1 < n < 10**6:  # no prime factor up to its square root
+        factors[n], n = 1, 1
+    return factors, n
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor below 1000.
+
+    Pollard's rho method (Pollard 1975) in Brent's form, with products of
+    128 differences per gcd; the polynomials x^2 + c are tried for
+    c = 1, 2, ... until one gives a proper divisor.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n > 0, primes ascending.
+
+    Trial division by the primes below 1000, then Miller-Rabin on what is
+    left, and Pollard's rho to split a composite rest.  Primality is proved
+    below 3.3e24 and probable above.
+    """
+    factors, rest = _trial_divide(n)
+    pending = [rest] if rest > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return dict(sorted(factors.items()))
 
 
 def _squarefree_int(n: int) -> tuple[int, int]:
@@ -613,33 +692,6 @@ def pure_as_commutator(p: Quaternion) -> tuple[Quaternion, Quaternion]:
 # Square roots of rationals among pure quaternions
 # ---------------------------------------------------------------------------
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _two_squares_prime(p: int) -> tuple[int, int]:
     """x, y with x^2 + y^2 = p for p = 2 or a prime p = 1 mod 4 (Cornacchia)."""
     if p == 2:
@@ -715,11 +767,11 @@ def sqrt_pure(e: RationalLike, algebra: AlgebraParams) -> Optional[Quaternion]:
 
     Existence first: a pure square root of a nonzero e exists iff the
     quadratic extension Q(sqrt(e)) embeds into the algebra, i.e. iff e is a
-    nonsquare in every completion Q_v at which the algebra ramifies.  Then a
-    search over scaled integer coordinate triples of shell height at most
-    SQRT_MAX_HEIGHT constructs one; running past that height after a
-    positive decision raises SearchBudgetExceeded (distinct from None).  A
-    root that fails its check raises CertificateError.
+    nonsquare in every completion Q_v at which the algebra ramifies.  Then
+    the root is built: over (-1,-1) from three squares, over every other
+    algebra by a conic descent (`_pure_coords`, after Cremona-Rusin 2003
+    and Simon 2005), which has no height bound and always ends.  A root
+    that fails its check raises CertificateError.
     """
     e = rat(e)
     if e == 0:
@@ -750,37 +802,17 @@ def sqrt_pure(e: RationalLike, algebra: AlgebraParams) -> Optional[Quaternion]:
         )
         return _checked_root(s, e)
 
-    big_e = e.numerator * e.denominator
-    den = e.denominator
-    ab = a_sf * b_sf
-    max_height = SQRT_MAX_HEIGHT
-    for shell in range(1, max_height + 1):
-        for m in range(1, shell + 1):
-            for big_x in range(-shell, shell + 1):
-                for big_y in range(-shell, shell + 1):
-                    if max(m, abs(big_x), abs(big_y)) != shell:
-                        continue
-                    num = a_sf * big_x * big_x + b_sf * big_y * big_y - big_e * m * m
-                    if num % ab:
-                        continue
-                    zz = num // ab
-                    if zz < 0:
-                        continue
-                    big_z = isqrt(zz)
-                    if big_z * big_z != zz:
-                        continue
-                    scale = Fraction(1, m * den)
-                    s = Quaternion(
-                        Fraction(0),
-                        big_x * scale / a_scale,
-                        big_y * scale / b_scale,
-                        big_z * scale / (a_scale * b_scale),
-                        algebra,
-                    )
-                    return _checked_root(s, e)
-    raise SearchBudgetExceeded(
-        f"sqrt_pure: representation of {e} exists but no solution of height <= {max_height}"
+    # e = num*den / den^2 on the squarefree model
+    x, y, z = _pure_coords(e.numerator * e.denominator, a_sf, b_sf)
+    scale = Fraction(1, e.denominator)
+    s = Quaternion(
+        Fraction(0),
+        x * scale / a_scale,
+        y * scale / b_scale,
+        z * scale / (a_scale * b_scale),
+        algebra,
     )
+    return _checked_root(s, e)
 
 
 def _checked_root(s: Quaternion, e: Fraction) -> Quaternion:
@@ -788,3 +820,179 @@ def _checked_root(s: Quaternion, e: Fraction) -> Quaternion:
     if not s.is_pure() or s * s != s.algebra.scalar(e):
         raise CertificateError(f"sqrt_pure: {s} is not a pure square root of {e}")
     return s
+
+
+# ---------------------------------------------------------------------------
+# Pure roots by conic descent (Cremona-Rusin 2003, Simon 2005)
+# ---------------------------------------------------------------------------
+
+
+def _strip_squares(n: int, primes) -> tuple[int, int]:
+    """(n / t^2, t), t the product of the squares in n of the primes below 1000 and `primes`."""
+    small, rest = _trial_divide(abs(n))
+    t = prod(p ** (e // 2) for p, e in small.items())
+    for p in primes:
+        while rest % (p * p) == 0:
+            rest //= p * p
+            t *= p
+    return n // (t * t), t
+
+
+def _pure_coords(big_e: int, a: int, b: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Rationals (x, y, z) with a*x^2 + b*y^2 - a*b*z^2 = E, for a solvable equation.
+
+    a and b are squarefree.  E loses its squares of the primes below 1000
+    and of the primes of ab first; with one of those left, the pairs below
+    could all fail at that prime.  Fixing y = u/v leaves the conic
+    X^2 - b*Z^2 = C*W^2 with C = a*(E*v^2 - b*u^2), and then
+    x = X/(a*W*v), z = Z/(a*W*v).  The pairs of `_descent_pairs` are
+    tried, with a and b also exchanged, until C is small primes times at
+    most one prime and the conic is solvable at every place; `_conic` then
+    solves it.  The scan ends because a primitive binary quadratic form
+    represents infinitely many primes (Weber).
+    """
+    b_primes = {b1: [*_factorize(abs(b1))] for b1 in (a, b)}
+    big_e, t = _strip_squares(big_e, b_primes[a] + b_primes[b])
+    roles = ((a, b, False), (b, a, True))
+    for u, v, (a1, b1, swapped) in _descent_pairs(big_e, roles):
+        c = a1 * (big_e * v * v - b1 * u * u)
+        if c == 0:  # E = b1*y^2 already
+            x1 = z1 = Fraction(0)
+        elif _easy_conic(b1, c, b_primes[b1]):
+            big_x, big_z, w = _conic(b1, c)
+            x1, z1 = Fraction(big_x, a1 * w * v), Fraction(big_z, a1 * w * v)
+        else:
+            continue
+        y1 = Fraction(u, v)
+        return (t * y1, t * x1, t * z1) if swapped else (t * x1, t * y1, t * z1)
+    raise AssertionError("unreachable: the pair scan is infinite")
+
+
+def _descent_pairs(big_e: int, roles) -> Iterator[tuple[int, int, tuple]]:
+    """(u, v, role) in a fixed order: round r takes the next pair of columns 1..r of each role."""
+    columns: dict = {}
+    for r in itertools.count(1):
+        for w in range(1, r + 1):
+            for role in roles:
+                if (w, role) not in columns:
+                    columns[w, role] = _column(big_e, role[0], role[1], w)
+                pair = next(columns[w, role], None)
+                if pair is not None:
+                    yield *pair, role
+
+
+def _column(big_e: int, a: int, b: int, w: int) -> Iterator[tuple[int, int]]:
+    """Coprime (u, v), v > 0, for the outer index w, nearest the sign change of C first.
+
+    C = a*(E*v^2 - b*u^2), and with b < 0 the real place needs C > 0,
+    which fixes the sign of D = E*v^2 - b*u^2.  The outer index is v and u
+    runs when |E| >= |b|; otherwise u is outer and v runs, by the same walk
+    on D = (-b)*u^2 - (-E)*v^2.  So a step of the running coordinate moves
+    D by the smaller coefficient.
+    """
+    sign = (1 if a > 0 else -1) if b < 0 else 0
+    if abs(big_e) >= abs(b):
+        return ((u, w) for u in _walk(big_e, b, w, sign))
+    return ((w, v) for v in _walk(-b, -big_e, w, sign) if v)
+
+
+def _walk(big_e: int, b: int, w: int, sign: int) -> Iterator[int]:
+    """t >= 0 coprime to w with E*w^2 - b*t^2 of the given sign (0: any), from its sign change out.
+
+    E*w^2 - b*t^2 has the sign of b up to t0 = floor(w*sqrt(E/b)) and that
+    of -b beyond; the allowed sides are walked alternately.
+    """
+    t0 = isqrt(big_e * w * w // b) if big_e * b > 0 else -1
+    beyond = itertools.count(t0 + 1) if sign * b <= 0 else ()
+    below = range(t0, -1, -1) if sign * b >= 0 else ()
+    for pair in itertools.zip_longest(beyond, below):
+        for t in pair:
+            if t is not None and gcd(t, w) == 1:
+                yield t
+
+
+def _easy_conic(b: int, c: int, b_primes: list) -> bool:
+    """Whether X^2 - b*Z^2 = c*W^2 is solvable and c is small primes times at most one prime."""
+    if any(hilbert_symbol(b, c, p) == -1 for p in ("inf", 2, *b_primes)):
+        return False
+    small, rest = _trial_divide(abs(c))
+    if rest > 1 and not _is_prime(rest):
+        return False
+    return all(hilbert_symbol(b, c, p) == 1 for p in [*small, rest] if p > 2)
+
+
+def _conic(b: int, c: int) -> tuple[int, int, int]:
+    """Integers (X, Z, W) with W != 0 and X^2 - b*Z^2 = c*W^2.
+
+    b is squarefree and (b, c)_v = 1 at every place, so a solution exists.
+    Lagrange's descent with lattices: for c squarefree, m = |c| and
+    r^2 = b mod m, the lattice X = r*Z mod m holds a shortest vector for
+    X^2 + |b|*Z^2 with X^2 - b*Z^2 = m*k and |k| <= 2*sqrt(|b|/3), which
+    leaves the equation for sign(c)*k.  When |c| < |b| the two exchange
+    roles, so the larger coefficient shrinks every other step.
+    """
+    factors = _factorize(abs(c))
+    f = prod(p ** (e // 2) for p, e in factors.items())
+    c //= f * f
+    if c == 1:
+        return f, 0, 1
+    if b == 1:
+        return (c + 1) * f, (c - 1) * f, 2
+    if abs(c) < abs(b):
+        big_x, w, big_z = _conic(c, b)
+        return big_x * f, big_z * f, w
+    m = abs(c)
+    x1, z1 = _short_vector(m, _sqrt_mod(b, [p for p, e in factors.items() if e % 2]), abs(b))
+    k = (x1 * x1 - b * z1 * z1) // m
+    x2, z2, w2 = _conic(b, c // m * k)
+    # norms multiply: (m*k) * (sign(c)*k*w2^2) = c * (k*w2)^2
+    big_x, big_z, w = x1 * x2 + b * z1 * z2, x1 * z2 + z1 * x2, k * w2
+    g = gcd(big_x, big_z, w)
+    return big_x // g * f, big_z // g * f, w // g
+
+
+def _sqrt_mod(n: int, primes: list) -> int:
+    """r with r^2 = n modulo the product of the distinct primes, n a square modulo each."""
+    r, m = 0, 1
+    for p in primes:
+        r += m * ((_sqrt_mod_prime(n % p, p) - r) * pow(m, -1, p) % p)
+        m *= p
+    return r
+
+
+def _sqrt_mod_prime(n: int, p: int) -> int:
+    """r with r^2 = n mod p for a square 0 <= n < p (Tonelli-Shanks)."""
+    if n == 0 or p == 2:
+        return n
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next(z for z in itertools.count(2) if _legendre(z, p) == -1)
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        d = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, d * d % p, t * d * d % p, r * d % p
+    return r
+
+
+def _short_vector(m: int, r: int, nb: int) -> tuple[int, int]:
+    """A shortest nonzero (X, Z) with X = r*Z mod m for the form X^2 + nb*Z^2 (Lagrange-Gauss)."""
+
+    def form(v):
+        return v[0] * v[0] + nb * v[1] * v[1]
+
+    u, w = (m, 0), (r, 1)
+    if form(u) > form(w):
+        u, w = w, u
+    while True:
+        fu = form(u)
+        mu = (2 * (u[0] * w[0] + nb * u[1] * w[1]) + fu) // (2 * fu)
+        w = (w[0] - mu * u[0], w[1] - mu * u[1])
+        if form(w) >= fu:
+            return u
+        u, w = w, u

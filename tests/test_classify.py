@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from quatnil.qcore import ConjClass
+from quatnil.qcore import AlgebraParams, ConjClass, are_conjugate
 from quatnil.qlinalg import QMatrix, QVector, conjugate_by, outer, rank, reduced_trace
 from quatnil.classify import (
     Decision,
@@ -160,6 +160,19 @@ class TestDecision:
     def test_type_iii_blocks(self, H):
         d = is_sum_of_two_nilpotents(diag(H, H.i(), H.i(), H.i()))
         assert not d.answer and d.reason == Reason.TYPE_III
+
+    def test_type_iii_root_of_large_height(self):
+        # the eigenvalue class of q = 1001i + 997k over (-11,-13) needs a pure
+        # square root of -153165298 with coordinates far above height 64
+        alg = AlgebraParams(Fraction(-11), Fraction(-13))
+        q = alg.quat(0, 1001, 0, 997)
+        m = QMatrix.diagonal([q] * 3)
+        d = is_sum_of_two_nilpotents(m)
+        assert not d.answer and d.reason == Reason.TYPE_III
+        assert d.classification.verdict == Verdict.TYPE_III
+        cert = d.type_iii
+        assert are_conjugate(cert.eigenvalue, q)
+        assert conjugate_by(m, cert.witness) == QMatrix.diagonal([cert.eigenvalue] * 3)
 
     def test_n4_constant_diagonal_yes(self, H):
         d = is_sum_of_two_nilpotents(QMatrix.diagonal([H.i()] * 4))

@@ -222,13 +222,14 @@ class TestCli:
         assert len(calls) == 1
 
     def test_search_budget_exit_code(self, tmp_path, capsys, monkeypatch):
-        # Diag(q, q, q) with q = 1001i + 997k over (-11,-13): the square root
-        # behind the type-III test needs a height far above 1
-        monkeypatch.setattr(qcore, "SQRT_MAX_HEIGHT", 1)
-        alg = AlgebraParams(Fraction(-11), Fraction(-13))
-        q = alg.quat(0, 1001, 0, 997)
-        path = write_matrix(tmp_path / "m.json", QMatrix.diagonal([q] * 3))
-        rc = main(["classify", "-i", path])
+        # J_2(i) (+) 0 at n = 4 needs trial decisions in the n >= 4 reduction;
+        # with none allowed the construction runs out
+        monkeypatch.setattr(decompose_module, "MAX_TRIAL_DECISIONS", 0)
+        alg = qcore.hamilton_algebra()
+        z = alg.zero()
+        m = QMatrix([[alg.i(), alg.one(), z, z], [z, alg.i(), z, z], [z] * 4, [z] * 4])
+        path = write_matrix(tmp_path / "m.json", m)
+        rc = main(["decompose", "-i", path, "-o", str(tmp_path / "dec.json")])
         err = capsys.readouterr().err
         assert rc == 5
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -470,6 +471,67 @@ class TestSqrtPure:
             s = sqrt_pure(Fraction(e), alg)
             if s is not None:
                 assert s * s == alg.scalar(e) and s.is_pure()
+
+
+    def test_descent_roots(self):
+        # None exactly when the local test refuses, else a pure root; the
+        # named values defeated the former height-64 shell search
+        named = [
+            ((-11, -13), Fraction(-153165298)),
+            ((2, -5), Fraction(-798694395)),
+            ((-1, -7), Fraction(-3664806413396, 110889)),
+            ((-1, -7), Fraction(-44720162951, 774400)),
+            ((2, -5), Fraction(5560227897693, 135424)),
+            ((-11, -13), Fraction(-18767413079243409191, 1371961600)),
+        ]
+        rng = random.Random(61)
+        cases = [(ab, e, True) for ab, e in named]
+        for ab in ((-1, -7), (2, -5), (-11, -13), (-3, -5)):
+            for _ in range(100):
+                square = rng.choice((1, 1, 4, 9, 49, 169, 25 * 121))
+                top = 2 ** rng.choice((4, 16, 32, 48, 64)) // square
+                num = rng.randrange(1, max(2, top)) * square
+                den = rng.randrange(1, 2 ** rng.choice((1, 8, 16, 32)) + 1)
+                cases.append((ab, Fraction(rng.choice((1, -1)) * num, den), False))
+        for ab, e, must_exist in cases:
+            alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+            s = sqrt_pure(e, alg)
+            refused = any(is_square_in_Qv(e, v) for v in qcore.ramified_places(alg.a, alg.b))
+            assert (s is None) == refused and not (must_exist and refused), (ab, e)
+            if s is not None:
+                assert s.is_pure() and s * s == alg.scalar(e), (ab, e)
+
+
+class TestFactorize:
+    @staticmethod
+    def trial_division(n):
+        """The reference: factorization by trial division alone."""
+        factors, d = {}, 2
+        while d * d <= n:
+            while n % d == 0:
+                factors[d] = factors.get(d, 0) + 1
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1:
+            factors[n] = factors.get(n, 0) + 1
+        return factors
+
+    def test_matches_trial_division(self):
+        rng = random.Random(67)
+        cases = [1, 2, 17, 37, 997 * 997, 1009 * 1013, 1009**2, 999983 * 1000003, (2**20 + 7) ** 2]
+        cases += [rng.randrange(1, 2 ** rng.randrange(1, 41)) for _ in range(400)]
+        for n in cases:
+            assert list(qcore._factorize(n).items()) == sorted(self.trial_division(n).items()), n
+
+    def test_large_factors_return(self):
+        # trial division alone would take of the order of 10^9 steps on each
+        start = time.perf_counter()
+        assert is_division(-(2**61 - 1) * (2**31 - 1), -1)
+        H = qcore.hamilton_algebra()
+        e = Fraction(-3, (2**31 - 1) * 2147483629)
+        s = sqrt_pure(e, H)
+        assert s is not None and s * s == H.scalar(e)
+        assert time.perf_counter() - start < 10
 
 
 class TestConjClass:
