@@ -12,7 +12,7 @@ is immutable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterator, Optional, Union
@@ -47,14 +47,14 @@ def rat(value: RationalLike) -> Fraction:
 #: The primes below 1000: the trial divisors of `_trial_divide`.
 _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))]
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _MR_WITNESSES:  # a witness that divides n would read n as composite
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -142,25 +142,20 @@ def _factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def _squarefree_int(n: int) -> tuple[int, int]:
-    """Write n = s * t**2 with s squarefree (sign kept on s). Returns (s, t)."""
-    if n == 0:
+def _squarefree_model(r: Fraction) -> tuple[int, Fraction, list[int]]:
+    """(s, t, primes) with r = s * t**2, s a squarefree integer and `primes` the primes of s."""
+    if r == 0:
         raise ParameterError("zero has no squarefree part")
-    sign = -1 if n < 0 else 1
-    s, t = sign, 1
-    for p, e in _factorize(abs(n)).items():
-        if e % 2:
-            s *= p
-        t *= p ** (e // 2)
-    return s, t
+    factors = _factorize(abs(r.numerator * r.denominator))
+    primes = [p for p, e in factors.items() if e % 2]
+    t = prod(p ** (e // 2) for p, e in factors.items())
+    return (-1 if r < 0 else 1) * prod(primes), Fraction(t, r.denominator), primes
 
 
 def squarefree_part(r: Fraction) -> tuple[int, Fraction]:
     """Write the nonzero rational r as s * t**2 with s a squarefree integer."""
-    if r == 0:
-        raise ParameterError("zero has no squarefree part")
-    s, m = _squarefree_int(r.numerator * r.denominator)
-    return s, Fraction(m, r.denominator)
+    s, t, _ = _squarefree_model(r)
+    return s, t
 
 
 def is_rational_square(r: Fraction) -> bool:
@@ -222,20 +217,25 @@ def hilbert_symbol(a: int, b: int, place) -> int:
     return sign
 
 
-def _relevant_places(a_sf: int, b_sf: int) -> list:
-    places: list = ["inf", 2]
-    odd = sorted(
-        {p for p in _factorize(abs(a_sf)) if p != 2} | {p for p in _factorize(abs(b_sf)) if p != 2}
-    )
-    places.extend(odd)
-    return places
+def _local_model(a: Fraction, b: Fraction) -> tuple:
+    """(a_sf, a_scale, b_sf, b_scale, primes, ramified) for the algebra (a,b/Q).
+
+    a = a_sf * a_scale**2 and b = b_sf * b_scale**2 with a_sf, b_sf
+    squarefree integers; `primes` are the primes of a_sf*b_sf, ascending.
+    Only the real place, 2 and the odd primes of a_sf*b_sf can carry a
+    Hilbert symbol (a,b)_v = -1; `ramified` lists the places that do.
+    """
+    a_sf, a_scale, a_primes = _squarefree_model(a)
+    b_sf, b_scale, b_primes = _squarefree_model(b)
+    primes = tuple(sorted({*a_primes, *b_primes}))
+    places = ("inf", 2, *(p for p in primes if p != 2))
+    ramified = tuple(v for v in places if hilbert_symbol(a_sf, b_sf, v) == -1)
+    return a_sf, a_scale, b_sf, b_scale, primes, ramified
 
 
 def ramified_places(a: Fraction, b: Fraction) -> list:
     """Places of Q where (a,b/Q) is locally a division algebra."""
-    a_sf, _ = squarefree_part(rat(a))
-    b_sf, _ = squarefree_part(rat(b))
-    return [v for v in _relevant_places(a_sf, b_sf) if hilbert_symbol(a_sf, b_sf, v) == -1]
+    return list(_local_model(rat(a), rat(b))[-1])
 
 
 def is_division(a: RationalLike, b: RationalLike) -> bool:
@@ -280,16 +280,26 @@ class AlgebraParams:
 
     a: Fraction
     b: Fraction
+    # the local model of `_local_model`, computed once; a and b determine it
+    a_sf: int = field(init=False, compare=False, repr=False)
+    a_scale: Fraction = field(init=False, compare=False, repr=False)
+    b_sf: int = field(init=False, compare=False, repr=False)
+    b_scale: Fraction = field(init=False, compare=False, repr=False)
+    primes: tuple = field(init=False, compare=False, repr=False)
+    ramified: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", rat(self.a))
         object.__setattr__(self, "b", rat(self.b))
         if self.a == 0 or self.b == 0:
             raise ParameterError("algebra parameters must be nonzero")
-        if not is_division(self.a, self.b):
+        model = _local_model(self.a, self.b)
+        if not model[-1]:
             raise NotDivisionAlgebraError(
                 f"({self.a},{self.b}/Q) is split; only division algebras are supported"
             )
+        for name, value in zip(("a_sf", "a_scale", "b_sf", "b_scale", "primes", "ramified"), model):
+            object.__setattr__(self, name, value)
 
     def quat(self, w=0, x=0, y=0, z=0) -> "Quaternion":
         return Quaternion(rat(w), rat(x), rat(y), rat(z), self)
@@ -589,84 +599,29 @@ def sylvester_solve(p: Quaternion, q: Quaternion, d: Quaternion) -> Optional[Qua
     return c
 
 
-# ---------------------------------------------------------------------------
-# Height-ordered enumeration of rationals and tuples
-# ---------------------------------------------------------------------------
-
-
-def height(r: Fraction) -> int:
-    return max(abs(r.numerator), r.denominator) if r != 0 else 0
-
-
-def rationals_of_height(h: int) -> list[Fraction]:
-    """Rationals of exact height h; positives before negatives, small denominators first."""
-    if h == 0:
-        return [Fraction(0)]
-    out = []
-    for den in range(1, h + 1):
-        nums = [h] if den < h else list(range(1, h + 1))
-        for num in nums:
-            if Fraction(num, den).denominator != den or max(num, den) != h:
-                continue
-            out.append(Fraction(num, den))
-            out.append(Fraction(-num, den))
-    return out
-
-
-def iter_rationals() -> Iterator[Fraction]:
-    """0, 1, -1, 2, -2, 1/2, -1/2, 3, -3, ... ordered by height."""
-    h = 0
-    while True:
-        yield from rationals_of_height(h)
-        h += 1
-
-
-def iter_rational_tuples(k: int, max_height: Optional[int] = None) -> Iterator[tuple[Fraction, ...]]:
-    """k-tuples of rationals ordered by height, lexicographic within a height shell.
-
-    The component order inside a shell is the scalar enumeration order.
-    """
-    h = 0
-    pool: list[Fraction] = []
-    while max_height is None or h <= max_height:
-        pool = pool + rationals_of_height(h)
-        for tup in itertools.product(pool, repeat=k):
-            if max(height(c) for c in tup) == h:
-                yield tup
-        h += 1
-
-
 def translate_conjugate(p: Quaternion, q: Quaternion) -> Quaternion:
     """A translation r such that p+r and q+r are conjugate (needs t(p) = t(q)).
 
     For p != q the translations making the norms match form an affine
-    hyperplane; the result is the least point of its canonical enumeration
-    such that both p+r and q+r are noncentral.
+    hyperplane, and the result is its canonical point (`ratlin.solve`).
+    Neither p+r nor q+r is central there: p+r = t would give
+    N(q+r) = N(t + q - p) = t^2 + N(q - p), and N(q - p) != 0 for the pure
+    q - p != 0 in a division algebra.  So p+r and q+r, with equal traces
+    and norms, are conjugate.
     """
     p._check_same_algebra(q)
     if p.reduced_trace() != q.reduced_trace():
         raise PreconditionError("translate_conjugate requires equal reduced traces")
     if p == q:
         return p.algebra.zero()
-    u = q - p
-    ones = p.algebra.basis()
-    row = [polar_form(u, e) for e in ones]
-    rhs = p.norm() - q.norm()
-    base = ratlin.solve([row], [rhs])
-    if base is None:  # polar form is nondegenerate and u != 0
+    row = [polar_form(q - p, e) for e in p.algebra.basis()]
+    base = ratlin.solve([row], [p.norm() - q.norm()])
+    if base is None:  # polar form is nondegenerate and q - p != 0
         raise CertificateError("translate_conjugate: the norm hyperplane is empty")
-    directions = ratlin.kernel([row])
-    for coeffs in iter_rational_tuples(len(directions)):
-        vec = list(base)
-        for c, d in zip(coeffs, directions):
-            vec = [v + c * dv for v, dv in zip(vec, d)]
-        r = _from_coords(vec, p.algebra)
-        if (p + r).is_central() or (q + r).is_central():
-            continue
-        if not are_conjugate(p + r, q + r):
-            raise CertificateError(f"translate_conjugate: {p} + r and {q} + r are not conjugate")
-        return r
-    raise AssertionError("unreachable: two lines cannot cover a hyperplane")
+    r = _from_coords(base, p.algebra)
+    if not are_conjugate(p + r, q + r):
+        raise CertificateError(f"translate_conjugate: {p} + r and {q} + r are not conjugate")
+    return r
 
 
 def pure_as_commutator(p: Quaternion) -> tuple[Quaternion, Quaternion]:
@@ -692,75 +647,6 @@ def pure_as_commutator(p: Quaternion) -> tuple[Quaternion, Quaternion]:
 # Square roots of rationals among pure quaternions
 # ---------------------------------------------------------------------------
 
-def _two_squares_prime(p: int) -> tuple[int, int]:
-    """x, y with x^2 + y^2 = p for p = 2 or a prime p = 1 mod 4 (Cornacchia)."""
-    if p == 2:
-        return 1, 1
-    if p % 4 != 1:
-        raise PreconditionError(f"two squares: {p} is not 2 or 1 mod 4")
-    r = None
-    c = 2
-    while r is None:
-        cand = pow(c, (p - 1) // 4, p)
-        if cand * cand % p == p - 1:
-            r = cand
-        c += 1
-    a, b = p, r
-    bound = isqrt(p)
-    while b > bound:
-        a, b = b, a % b
-    x = b
-    y = isqrt(p - x * x)
-    if x * x + y * y != p:
-        raise CertificateError(f"two squares: {x}^2 + {y}^2 != {p}")
-    return x, y
-
-
-def _two_squares_small(n: int) -> Optional[tuple[int, int]]:
-    """Certified two-square splittings used inside the three-squares search."""
-    if n == 0:
-        return 0, 0
-    if n == 1:
-        return 1, 0
-    if n == 2:
-        return 1, 1
-    if n % 4 == 1 and _is_prime(n):
-        return _two_squares_prime(n)
-    if n % 4 == 2:
-        half = n // 2
-        if half % 4 == 1 and _is_prime(half):
-            u, v = _two_squares_prime(half)
-            return u + v, abs(u - v)
-    return None
-
-
-def three_squares(t: int) -> Optional[tuple[int, int, int]]:
-    """Nonnegative (x, y, z) with x^2 + y^2 + z^2 = t, or None for 4^a(8b+7).
-
-    After stripping factors of 4, descend x from isqrt(t) and split the
-    remainder into two squares whenever it is 0, 1, 2, a prime 1 mod 4, or
-    twice such a prime; prime density makes this terminate quickly.
-    """
-    if t < 0:
-        return None
-    if t == 0:
-        return 0, 0, 0
-    shift = 0
-    while t % 4 == 0:
-        t //= 4
-        shift += 1
-    if t % 8 == 7:
-        return None
-    for x in range(isqrt(t), -1, -1):
-        rest = _two_squares_small(t - x * x)
-        if rest is not None:
-            y, z = rest
-            sol = tuple(sorted((x << shift, y << shift, z << shift), reverse=True))
-            if sum(c * c for c in sol) != t << (2 * shift):
-                raise CertificateError(f"three squares: {sol} does not sum to {t << (2 * shift)}")
-            return sol
-    return None
-
 
 def sqrt_pure(e: RationalLike, algebra: AlgebraParams) -> Optional[Quaternion]:
     """A pure quaternion s with s*s == e, or None when no such s exists.
@@ -768,48 +654,24 @@ def sqrt_pure(e: RationalLike, algebra: AlgebraParams) -> Optional[Quaternion]:
     Existence first: a pure square root of a nonzero e exists iff the
     quadratic extension Q(sqrt(e)) embeds into the algebra, i.e. iff e is a
     nonsquare in every completion Q_v at which the algebra ramifies.  Then
-    the root is built: over (-1,-1) from three squares, over every other
-    algebra by a conic descent (`_pure_coords`, after Cremona-Rusin 2003
-    and Simon 2005), which has no height bound and always ends.  A root
-    that fails its check raises CertificateError.
+    the root is built, over every algebra, by a conic descent
+    (`_pure_coords`, after Cremona-Rusin 2003 and Simon 2005), which has no
+    height bound and always ends.  A root that fails its check raises
+    CertificateError.
     """
     e = rat(e)
     if e == 0:
         return algebra.zero()
-    for place in ramified_places(algebra.a, algebra.b):
-        if is_square_in_Qv(e, place):
-            return None
-
-    a_sf, a_scale = squarefree_part(algebra.a)
-    b_sf, b_scale = squarefree_part(algebra.b)
-
-    if (a_sf, b_sf) == (-1, -1):
-        # Pure squares satisfy s*s = -(X^2+Y^2+Z^2) on the squarefree model;
-        # clear the least denominator d (den = d1^2*d2, d = d1*d2) and solve
-        # the integral three-squares problem X^2+Y^2+Z^2 = -e*d^2 directly.
-        d2, d1 = _squarefree_int(e.denominator)
-        d = d1 * d2
-        sol = three_squares(-e.numerator * d2)
-        if sol is None:
-            raise CertificateError(f"sqrt_pure: no three squares for {e} despite local solvability")
-        big_x, big_y, big_z = sol
-        s = Quaternion(
-            Fraction(0),
-            Fraction(big_x, d) / a_scale,
-            Fraction(big_y, d) / b_scale,
-            Fraction(big_z, d) / (a_scale * b_scale),
-            algebra,
-        )
-        return _checked_root(s, e)
-
+    if any(is_square_in_Qv(e, place) for place in algebra.ramified):
+        return None
     # e = num*den / den^2 on the squarefree model
-    x, y, z = _pure_coords(e.numerator * e.denominator, a_sf, b_sf)
+    x, y, z = _pure_coords(e.numerator * e.denominator, algebra.a_sf, algebra.b_sf, algebra.primes)
     scale = Fraction(1, e.denominator)
     s = Quaternion(
         Fraction(0),
-        x * scale / a_scale,
-        y * scale / b_scale,
-        z * scale / (a_scale * b_scale),
+        x * scale / algebra.a_scale,
+        y * scale / algebra.b_scale,
+        z * scale / (algebra.a_scale * algebra.b_scale),
         algebra,
     )
     return _checked_root(s, e)
@@ -838,28 +700,28 @@ def _strip_squares(n: int, primes) -> tuple[int, int]:
     return n // (t * t), t
 
 
-def _pure_coords(big_e: int, a: int, b: int) -> tuple[Fraction, Fraction, Fraction]:
+def _pure_coords(big_e: int, a: int, b: int, primes: tuple) -> tuple[Fraction, Fraction, Fraction]:
     """Rationals (x, y, z) with a*x^2 + b*y^2 - a*b*z^2 = E, for a solvable equation.
 
-    a and b are squarefree.  E loses its squares of the primes below 1000
-    and of the primes of ab first; with one of those left, the pairs below
-    could all fail at that prime.  Fixing y = u/v leaves the conic
-    X^2 - b*Z^2 = C*W^2 with C = a*(E*v^2 - b*u^2), and then
-    x = X/(a*W*v), z = Z/(a*W*v).  The pairs of `_descent_pairs` are
+    a and b are squarefree and `primes` are the primes of ab.  E loses its
+    squares of the primes below 1000 and of the primes of ab first; with
+    one of those left, the pairs below could all fail at that prime.
+    Fixing y = u/v leaves the conic X^2 - b*Z^2 = C*W^2 with
+    C = a*(E*v^2 - b*u^2), and then x = X/(a*W*v), z = Z/(a*W*v).  The pairs of `_descent_pairs` are
     tried, with a and b also exchanged, until C is small primes times at
     most one prime and the conic is solvable at every place; `_conic` then
     solves it.  The scan ends because a primitive binary quadratic form
     represents infinitely many primes (Weber).
     """
-    b_primes = {b1: [*_factorize(abs(b1))] for b1 in (a, b)}
-    big_e, t = _strip_squares(big_e, b_primes[a] + b_primes[b])
+    b_primes = {b1: [p for p in primes if b1 % p == 0] for b1 in (a, b)}
+    big_e, t = _strip_squares(big_e, primes)
     roles = ((a, b, False), (b, a, True))
     for u, v, (a1, b1, swapped) in _descent_pairs(big_e, roles):
         c = a1 * (big_e * v * v - b1 * u * u)
         if c == 0:  # E = b1*y^2 already
             x1 = z1 = Fraction(0)
         elif _easy_conic(b1, c, b_primes[b1]):
-            big_x, big_z, w = _conic(b1, c)
+            big_x, big_z, w = _conic(b1, c, b_primes[b1])
             x1, z1 = Fraction(big_x, a1 * w * v), Fraction(big_z, a1 * w * v)
         else:
             continue
@@ -921,34 +783,44 @@ def _easy_conic(b: int, c: int, b_primes: list) -> bool:
     return all(hilbert_symbol(b, c, p) == 1 for p in [*small, rest] if p > 2)
 
 
-def _conic(b: int, c: int) -> tuple[int, int, int]:
+def _conic(b: int, c: int, b_primes: list) -> tuple[int, int, int]:
     """Integers (X, Z, W) with W != 0 and X^2 - b*Z^2 = c*W^2.
 
-    b is squarefree and (b, c)_v = 1 at every place, so a solution exists.
-    Lagrange's descent with lattices: for c squarefree, m = |c| and
-    r^2 = b mod m, the lattice X = r*Z mod m holds a shortest vector for
-    X^2 + |b|*Z^2 with X^2 - b*Z^2 = m*k and |k| <= 2*sqrt(|b|/3), which
-    leaves the equation for sign(c)*k.  When |c| < |b| the two exchange
-    roles, so the larger coefficient shrinks every other step.
+    b is squarefree with the primes `b_primes`, and (b, c)_v = 1 at every
+    place, so a solution exists.  The square part f^2 of c comes out first
+    and multiplies X and Z by f.
     """
     factors = _factorize(abs(c))
     f = prod(p ** (e // 2) for p, e in factors.items())
-    c //= f * f
+    c_primes = [p for p, e in factors.items() if e % 2]
+    big_x, big_z, w = _squarefree_conic(b, b_primes, c // (f * f), c_primes)
+    return big_x * f, big_z * f, w
+
+
+def _squarefree_conic(b: int, b_primes: list, c: int, c_primes: list) -> tuple[int, int, int]:
+    """`_conic` for a squarefree c with the primes `c_primes`.
+
+    Lagrange's descent with lattices: for m = |c| and r^2 = b mod m, the
+    lattice X = r*Z mod m holds a shortest vector for X^2 + |b|*Z^2 with
+    X^2 - b*Z^2 = m*k and |k| <= 2*sqrt(|b|/3), which leaves the equation
+    for sign(c)*k.  When |c| < |b| the two exchange roles, so the larger
+    coefficient shrinks every other step; neither is factored again.
+    """
     if c == 1:
-        return f, 0, 1
+        return 1, 0, 1
     if b == 1:
-        return (c + 1) * f, (c - 1) * f, 2
+        return c + 1, c - 1, 2
     if abs(c) < abs(b):
-        big_x, w, big_z = _conic(c, b)
-        return big_x * f, big_z * f, w
+        big_x, w, big_z = _squarefree_conic(c, c_primes, b, b_primes)
+        return big_x, big_z, w
     m = abs(c)
-    x1, z1 = _short_vector(m, _sqrt_mod(b, [p for p, e in factors.items() if e % 2]), abs(b))
+    x1, z1 = _short_vector(m, _sqrt_mod(b, c_primes), abs(b))
     k = (x1 * x1 - b * z1 * z1) // m
-    x2, z2, w2 = _conic(b, c // m * k)
+    x2, z2, w2 = _conic(b, c // m * k, b_primes)
     # norms multiply: (m*k) * (sign(c)*k*w2^2) = c * (k*w2)^2
     big_x, big_z, w = x1 * x2 + b * z1 * z2, x1 * z2 + z1 * x2, k * w2
     g = gcd(big_x, big_z, w)
-    return big_x // g * f, big_z // g * f, w // g
+    return big_x // g, big_z // g, w // g
 
 
 def _sqrt_mod(n: int, primes: list) -> int:

@@ -40,8 +40,10 @@ def _instance(ab, n, kind, seed, **kw):
 
 # (algebra, n, kind, seed) -> digest of decomposition_to_json
 DECOMPOSITIONS = {
+    # the root of the decision's M*M comes from the conic descent, which
+    # replaced the three-squares construction over (-1,-1)
     (HAMILTON, 2, "two-square-zero", 11):
-        "7ccd3b749f1973cfc9c80fc43a1f17e1a21170aa3d287c0b875ec775e95c104c",
+        "fd0513833b1e1a22b8817daecc29eccfe0a5281652e745b2493bbc924dca8160",
     (HAMILTON, 2, "type-II", 12):
         "57e52046be931af9179ba89f69c19a09f1a12766725487f47a7d41484839ed3b",
     (HAMILTON, 3, "generic-trace-zero", 13):
