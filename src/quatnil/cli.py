@@ -9,8 +9,9 @@ witness (`verify_decomposition`).
 Exit codes: 0 success / decision yes; 1 `check` found the certificate
 INVALID (or `selftest` failed); 2 parse or invalid-request error; 3 decision
 no; 4 the requested algebra is not a division algebra; 5 a construction
-search ran out (SearchBudgetExceeded: the trial-decision cap of the n >= 4
-reduction; the decision never runs out); 6 a certificate failed its final
+search ran out (SearchBudgetExceeded: the end of a fixed candidate list, or
+the trial-decision cap that non-cyclic corner vectors spend at n >= 4; the
+decision never runs out); 6 a certificate failed its final
 check (CertificateError, a defect in the library).  Errors print one
 `error:` line.
 """

@@ -6,9 +6,11 @@ parts and pulling back through the witness yields the two nilpotent
 summands.  The matrix is decided once, and the diagonal-zero reduction
 works by cases on that decision: a spectral basis trick for 2x2, a
 reduction to a rational trace-zero matrix when the decision carries type-II
-data, a companion-basis completion for 3x3, and a perturbation-and-recurse
-step for larger sizes, which hands the accepted block's own decision to the
-recursion.  The reductions build their witnesses without re-checking them.
+data, and for every other n >= 3 one companion basis (x, Mx, ..., M^(n-1) x)
+from the first cyclic candidate x.  Only a candidate that is not cyclic, at
+n >= 4, takes a perturbation-and-recurse step, which hands the accepted
+trailing block's own decision to the recursion.  The reductions build their
+witnesses without re-checking them.
 Each public function checks the certificate it returns once, with explicit
 tests that `python -O` keeps, and raises CertificateError if a check fails.
 A decomposition is checked through its witness (`verify_certificate`):
@@ -22,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from . import ratlin
 from .classify import Decision, TypeIIData, is_sum_of_two_nilpotents
 from .errors import CertificateError, PreconditionError, SearchBudgetExceeded
 from .qcore import AlgebraParams, Quaternion, conjugator, translate_conjugate
@@ -154,20 +157,18 @@ def _field_diag_zero_inner(m: QMatrix) -> SimilarityWitness:
         raise PreconditionError("trace must be zero")
 
     # a nonscalar rational matrix moves some e_s or e_s + e_t off its line
-    base = next(_corner_bases(m))
+    base = next(filter(None, (_corner_basis(m, x) for x in _vector_candidates(n, m.algebra))))
     w_sub = _field_diag_zero_inner(conjugate_by(m, base).submatrix(range(1, n), range(1, n)))
-    return _embed_witness(w_sub, m.algebra).compose(base)
+    return _embed_witness(w_sub, n).compose(base)
 
 
-def _embed_witness(w: SimilarityWitness, algebra: AlgebraParams) -> SimilarityWitness:
-    """1 (+) P block witness acting on the trailing coordinates."""
+def _embed_witness(w: SimilarityWitness, n: int) -> SimilarityWitness:
+    """I_(n-k) (+) P block witness acting on the trailing k coordinates."""
 
     def embed(mat: QMatrix) -> QMatrix:
-        n = mat.rows + 1
-        one, zero = algebra.one(), algebra.zero()
-        rows = [[one] + [zero] * (n - 1)]
-        for r in range(mat.rows):
-            rows.append([zero] + list(mat.entries[r]))
+        rows = [list(row) for row in QMatrix.identity(n, mat.algebra).entries]
+        for r, row in enumerate(mat.entries, start=n - mat.rows):
+            rows[r][n - mat.rows :] = row
         return QMatrix(rows)
 
     return SimilarityWitness._trusted(embed(w.P), embed(w.Pinv))
@@ -287,18 +288,15 @@ def _perturbation_lists(k: int, alg: AlgebraParams) -> Iterator[tuple[Quaternion
         yield placed((s, u), (t, v))
 
 
-def _corner_bases(m: QMatrix) -> Iterator[SimilarityWitness]:
-    """Basis (x, Mx, units...) for each candidate x with Mx off the line of x, in order.
+def _corner_basis(m: QMatrix, x: QVector) -> Optional[SimilarityWitness]:
+    """Basis (x, Mx, units...) when Mx is off the line of x, else None.
 
     In such a basis the first column of M is e_2, so the corner entry is zero.
     The greedy subfamily keeps Mx second exactly when Mx is off the line of x.
     """
-    units = _unit_vectors(m.rows, m.algebra)
-    for x in _vector_candidates(m.rows, m.algebra):
-        mx = m.apply(x)
-        cols = independent_subfamily([x, mx, *units])
-        if cols[1] == mx:
-            yield _to_basis(cols)
+    mx = m.apply(x)
+    cols = independent_subfamily([x, mx, *_unit_vectors(m.rows, m.algebra)])
+    return _to_basis(cols) if cols[1] == mx else None
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +308,12 @@ def diag_zero_form(m: QMatrix) -> SimilarityWitness:
     """Witness conjugating M to a matrix with zero diagonal.
 
     Precondition: the decision procedure accepts M, which never runs out.
-    A construction search that does (the trial-decision cap of the n >= 4
-    step, or the end of a fixed candidate list) raises SearchBudgetExceeded,
-    which is never a mathematical rejection; a witness that fails its check
-    raises CertificateError.
+    At n >= 3 a cyclic candidate vector gives one companion basis.  A
+    construction search that runs out (the end of a fixed candidate list,
+    or the trial-decision cap, which only non-cyclic corner vectors at
+    n >= 4 spend) raises SearchBudgetExceeded, which is never a
+    mathematical rejection; a witness that fails its check raises
+    CertificateError.
     """
     return _certify(m, _decided_diag_zero(m))[0]
 
@@ -337,8 +337,6 @@ def _diag_zero(m: QMatrix, decision: Decision) -> SimilarityWitness:
         return _diag_zero_2x2(m, decision)
     if decision.type_ii is not None:
         return _diag_zero_type_ii(m, decision.type_ii)
-    if n == 3:
-        return _diag_zero_3x3(m)
     return _diag_zero_large(m)
 
 
@@ -351,13 +349,13 @@ def _diag_zero_2x2(m: QMatrix, decision: Decision) -> SimilarityWitness:
     square = decision.square_certificate
     if square.eigenvalue.is_central():
         # M*M = q*I, so every nonzero vector is an eigenvector of the square.
-        bases = _corner_bases(m)
+        candidates = _vector_candidates(2, m.algebra)
     else:
         basis = square.solution_basis
         candidates = list(basis)
         candidates += [u + v for s, u in enumerate(basis) for v in basis[s + 1 :]]
         candidates += [u - v for s, u in enumerate(basis) for v in basis[s + 1 :]]
-        bases = filter(None, (_to_basis([x, m.apply(x)]) for x in candidates))
+    bases = filter(None, (_to_basis([x, m.apply(x)]) for x in candidates))
     witness = next(bases, None)
     if witness is None:
         raise SearchBudgetExceeded("2x2 reduction: no independent (x, Mx) pair found")
@@ -384,63 +382,56 @@ def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> SimilarityWitness:
     return w_field.compose(base)
 
 
-def _square_zero_pair_witness(k: QMatrix, a_mat: QMatrix, b_mat: QMatrix) -> SimilarityWitness:
-    """Zero-diagonal witness for a 2x2 matrix given as a sum of two square-zero matrices.
+def _square_zero_pair_witness(a_mat: QMatrix, b_mat: QMatrix) -> SimilarityWitness:
+    """Zero-diagonal witness for A + B, with A and B nonzero 2x2 square-zero matrices.
 
     With x spanning ker B and y spanning ker A, the basis (x, y) represents
-    K = A + B as [[0, *], [*, 0]]; degenerate summand configurations reduce
-    to a strictly triangular representation.
+    A + B as [[0, *], [*, 0]]; when the kernels coincide, A + B is
+    square-zero and (x, e_s) makes it strictly upper triangular.
     """
-    alg = k.algebra
-    if k.is_zero():
-        return SimilarityWitness.identity(2, alg)
-    basis_pool = _unit_vectors(2, alg)
-    if a_mat.is_zero() or b_mat.is_zero():
-        single = b_mat if a_mat.is_zero() else a_mat
-        v = next(u for u in basis_pool if not single.apply(u).is_zero())
-        cols = [single.apply(v), v]
-    else:
-        x, y = kernel_basis(b_mat)[0], kernel_basis(a_mat)[0]
-        cols = independent_subfamily([x, y, *basis_pool])
-    return _to_basis(cols)
+    x, y = kernel_basis(b_mat)[0], kernel_basis(a_mat)[0]
+    return _to_basis(independent_subfamily([x, y, *_unit_vectors(2, a_mat.algebra)]))
 
 
-def _diag_zero_3x3(m: QMatrix) -> SimilarityWitness:
-    """Companion basis (x, Mx, M^2 x + x*delta) with delta from the 2x2 completion.
+def _diag_zero_3x3(m: QMatrix, x: QVector) -> Optional[SimilarityWitness]:
+    """Companion-basis witness from x for any n >= 3, or None if x is not cyclic.
 
-    In that basis the first diagonal entry is zero and the trailing 2x2
-    block is the completion's target, whose square-zero summands give the
-    rest of the witness.
+    One elimination of [x, Mx, ..., M^(n-1) x | M^n x] tells whether the
+    Krylov vectors are a basis and gives the coordinates c of M^n x, the
+    last column of the companion matrix, whose diagonal is zero but for c_(n-1).
+    Replacing the last basis vector by M^(n-1) x + M^(n-3) x*(delta - c_(n-2))
+    turns the trailing 2x2 block into the completion's target
+    [[0, delta], [1, c_(n-1)]] and keeps the rest of the diagonal zero; the
+    completion's square-zero summands give the rest of the witness.
     """
-    alg = m.algebra
-    for x in _vector_candidates(3, alg):
-        mx = m.apply(x)
-        m2x = m.apply(mx)
-        cyclic = _to_basis([x, mx, m2x])
-        if cyclic is not None:
-            break
-    else:
-        raise SearchBudgetExceeded("3x3 reduction: no candidate vector is cyclic")
-    companion = conjugate_by(m, cyclic)
-    completion = completion_2x2(alg.zero(), companion[2, 2])
-    delta = completion.delta - companion[1, 2]
-    base = _to_basis([x, mx, m2x + x.scale_right(delta)])
-    w_block = _square_zero_pair_witness(completion.target, *completion.summands)
-    return _embed_witness(w_block, alg).compose(base)
+    n, alg = m.rows, m.algebra
+    # x, Mx, ..., M^n x
+    krylov = list(itertools.accumulate(range(n), lambda v, _: m.apply(v), initial=x))
+    reduced, pivots = ratlin.rref(QMatrix.from_columns(krylov).entries, n)
+    if len(pivots) < n:
+        return None
+    c = [row[n] for row in reduced]
+    completion = completion_2x2(alg.zero(), c[n - 1])
+    last = krylov[n - 1] + krylov[n - 3].scale_right(completion.delta - c[n - 2])
+    base = _to_basis(krylov[: n - 1] + [last])
+    w_block = _square_zero_pair_witness(*completion.summands)
+    return _embed_witness(w_block, n).compose(base)
 
 
 def _diag_zero_large(m: QMatrix) -> SimilarityWitness:
-    """n >= 4: zero the corner, perturb the trailing block until it is accepted, recurse.
+    """n >= 3: a companion basis from the first cyclic candidate, else perturb and recurse.
 
-    Each corner basis (x, Mx, ...) makes the first column e_2 and the corner
-    zero.  Conjugating by the shear with first row (1, 0, q_1, ..., q_{n-2})
-    adds the perturbation to the first row of the trailing block and keeps
-    the corner zero.  When no perturbation of the trailing block is
-    accepted, the next x is tried, for at most MAX_TRIAL_DECISIONS trial
-    decisions in all.
+    Candidates x are taken in `_vector_candidates` order, and a cyclic x
+    ends the search with `_diag_zero_3x3`.  At n >= 4 a non-cyclic x with Mx
+    off its line gives a corner basis (x, Mx, ...), which zeroes the corner.
+    Conjugating by the shear with first row (1, 0, q_1, ..., q_{n-2}) adds
+    the perturbation to the first row of the trailing block and keeps the
+    corner zero; an accepted block is reduced by its own decision.  When no
+    perturbation is accepted, the next x is tried, for at most
+    MAX_TRIAL_DECISIONS trial decisions in all.  A derogatory M, with no
+    cyclic vector, takes only this step.
     """
-    n = m.rows
-    alg = m.algebra
+    n, alg = m.rows, m.algebra
 
     def shear(top) -> QMatrix:
         rows = [list(row) for row in QMatrix.identity(n, alg).entries]
@@ -449,7 +440,13 @@ def _diag_zero_large(m: QMatrix) -> SimilarityWitness:
 
     zero = alg.zero()
     trials = 0
-    for base in _corner_bases(m):
+    for x in _vector_candidates(n, alg):
+        companion = _diag_zero_3x3(m, x)
+        if companion is not None:
+            return companion
+        base = _corner_basis(m, x) if n > 3 else None
+        if base is None:
+            continue
         trailing = conjugate_by(m, base).submatrix(range(1, n), range(1, n))
         for qlist in _perturbation_lists(n - 2, alg):
             if trials == MAX_TRIAL_DECISIONS:
@@ -465,12 +462,12 @@ def _diag_zero_large(m: QMatrix) -> SimilarityWitness:
             if decision.answer:
                 sheared = SimilarityWitness._trusted(shear([-q for q in qlist]), shear(qlist))
                 w_sub = _diag_zero(candidate, decision)
-                return _embed_witness(w_sub, alg).compose(sheared.compose(base))
+                return _embed_witness(w_sub, n).compose(sheared.compose(base))
             if not any(qlist) and _scalar_below_first_row(trailing):
                 # the block is lam*I + e_1*r, and a first-row perturbation keeps lam
                 # and the image eigenvalue r_1, hence the verdict
                 break
-    raise SearchBudgetExceeded("reduction: no corner basis admits an accepted trailing block")
+    raise SearchBudgetExceeded(f"{n}x{n} reduction: the candidate vectors ran out")
 
 
 def _scalar_below_first_row(t: QMatrix) -> bool:

@@ -38,9 +38,9 @@ class SearchBudgetExceeded(QuatnilError, RuntimeError):
 
     Distinct from a negative decision: the existence question was answered
     yes (or is guaranteed), only the construction failed to find a witness.
-    One fixed bound can cause it: the cap on trial decisions in the n >= 4
-    reduction; the other construction searches run through fixed structured
-    candidate lists.  The decision never raises it: `sqrt_pure` builds its
+    The construction searches run through fixed structured candidate lists:
+    the n = 2 vectors, the cyclic vectors at n = 3, and at n >= 4 the cap on
+    trial decisions that non-cyclic corner vectors spend.  The decision never raises it: `sqrt_pure` builds its
     roots by a conic descent that always ends.
     """
 

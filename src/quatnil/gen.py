@@ -141,10 +141,6 @@ def generic_trace_zero_matrix(
             return m
 
 
-def random_matrix(rng: random.Random, alg: AlgebraParams, n: int, height: int) -> QMatrix:
-    return _matrix(rng, alg, n, height)
-
-
 def generate(spec: InstanceSpec) -> QMatrix:
     """Deterministically generate an instance of the requested kind."""
     rng = random.Random(spec.seed)

@@ -152,12 +152,6 @@ def _squarefree_model(r: Fraction) -> tuple[int, Fraction, list[int]]:
     return (-1 if r < 0 else 1) * prod(primes), Fraction(t, r.denominator), primes
 
 
-def squarefree_part(r: Fraction) -> tuple[int, Fraction]:
-    """Write the nonzero rational r as s * t**2 with s a squarefree integer."""
-    s, t, _ = _squarefree_model(r)
-    return s, t
-
-
 def is_rational_square(r: Fraction) -> bool:
     if r < 0:
         return False

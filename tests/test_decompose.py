@@ -18,6 +18,8 @@ from quatnil.qlinalg import (
     reduced_trace,
 )
 from quatnil.classify import is_sum_of_two_nilpotents
+from quatnil.gen import InstanceSpec, generate
+from quatnil.qcore import AlgebraParams
 from quatnil.decompose import (
     completion_2x2,
     decompose_two_nilpotents,
@@ -298,7 +300,19 @@ class TestDecompose:
         with pytest.raises(SearchBudgetExceeded, match="3 decisions"):
             decompose_two_nilpotents(m)
 
-    def test_decides_once_and_never_classifies_again(self, H, monkeypatch):
+    @pytest.mark.parametrize(
+        "ab, n",
+        [(None, 3)] + [(ab, n) for ab in ((-1, -1), (-1, -7), (2, -5)) for n in (4, 5, 6, 7)],
+        ids=lambda v: "fixed" if v is None else str(v),
+    )
+    def test_decides_once_and_never_classifies_again(self, H, ab, n, monkeypatch):
+        # a generic matrix at every n >= 3 is reduced in one companion basis,
+        # with no trial decision of a trailing block
+        if ab is None:
+            m = QMatrix([[H.zero(), H.i(), H.j()], [H.i(), H.zero(), H.k()], [H.one(), H.j(), H.zero()]])
+        else:
+            alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+            m = generate(InstanceSpec(alg, n, "generic-trace-zero", seed=n))
         calls = []
         original = classify_module.classify
 
@@ -307,7 +321,6 @@ class TestDecompose:
             return original(m, *args, **kwargs)
 
         monkeypatch.setattr(classify_module, "classify", counted)
-        m = QMatrix([[H.zero(), H.i(), H.j()], [H.i(), H.zero(), H.k()], [H.one(), H.j(), H.zero()]])
         dec = decompose_two_nilpotents(m)
         assert_both_checks_pass(m, dec)
         assert calls == [m]

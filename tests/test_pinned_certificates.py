@@ -18,6 +18,7 @@ from quatnil.classify import classify, is_sum_of_two_nilpotents
 from quatnil.decompose import decompose_two_nilpotents, verify_certificate, verify_decomposition
 from quatnil.gen import InstanceSpec, generate, two_square_zero_sum
 from quatnil.qcore import AlgebraParams
+from quatnil.qlinalg import QMatrix
 
 HAMILTON = (-1, -1)
 OTHER = (-1, -7)
@@ -50,12 +51,14 @@ DECOMPOSITIONS = {
         "a399467b18b6e9104e9aa4ce81815e561fbb7ad3f7a0c31c9ff8719b2e4139da",
     (HAMILTON, 3, "type-II", 14):
         "22873deb445d96b7b855093dad9ab5644cc44c6d68bbc26f116bfae68dd662d4",
+    # a generic matrix at n >= 4 is reduced in one companion basis, which
+    # replaced the corner-and-perturbation recursion (here and at seeds 17, 23, 27)
     (HAMILTON, 4, "generic-trace-zero", 15):
-        "0b8a114aa3e1b09a249ee3b32d801f0e924e696ab59cb5c9b035e21cf2ee02a0",
+        "72027564375c9efefb10d9db98e98ff746a8ee4e261b3210c354de6e7ff0cd4b",
     (HAMILTON, 4, "type-II", 16):
         "30a31068835d2a7441a3d2b4e2d1bfca0f2768d090fd493d32845e96b907ad61",
     (HAMILTON, 5, "generic-trace-zero", 17):
-        "63443c5fe1f0b126560abbff3317206b915f52be68345059b36a0a80970d52d9",
+        "19b6424fd5c8a357fd9b708cae7747813bad8de9d7d1c047a7b998c7eb4aa97f",
     (HAMILTON, 5, "type-II", 18):
         "f074e1af2b0b76128df645114b8773ddc34e87d17ee4e1b7f9850e799a295e20",
     (OTHER, 3, "generic-trace-zero", 21):
@@ -63,7 +66,7 @@ DECOMPOSITIONS = {
     (OTHER, 3, "type-II", 22):
         "5f08e8312bf002cca85692e919f8c028f51a8e9f8e7a27812b7ff93b4f3a3e33",
     (OTHER, 4, "generic-trace-zero", 23):
-        "8b9272901b897992e1bb2aadc50a8e5895bd71490ca5895dd383ac08cfd32586",
+        "b58281708c1611c0421cab35ff9d1061b3cdebac2d41ce3ff4cb3f9aa3450efb",
     (OTHER, 4, "type-II", 24):
         "00c1fb9f7f1dcd007a6ccba69d0d5e07cb96092b21fc49f01f6727f57e29d331",
     # the root of the decision's M*M comes from the conic descent; the shell
@@ -73,7 +76,7 @@ DECOMPOSITIONS = {
     (OTHER, 2, "type-II", 26):
         "44ba4be29252c25d9733e641f8b127e78327a0e04c617fa790ea6b05c4423cc6",
     (OTHER, 5, "generic-trace-zero", 27):
-        "cc6dee822d2f528d9c9ad6e34dec07d667ad933c9d25200ff2c9450f4beb565e",
+        "a84823dab4c2bbd884a43f5409fbce81e033a854b97f854d740b3b14317e7731",
     (OTHER, 5, "type-II", 28):
         "eec926c4f48c0f5976169596cb90bc9fafc1ad8da6cea4dee1f4dfdf6979cfbd",
     (THIRD, 3, "generic-trace-zero", 29):
@@ -95,6 +98,55 @@ def test_decomposition_digest(key):
     # the certificate check and the witness-free check agree
     assert verify_certificate(m, dec.n1, dec.n2, dec.witness)
     assert verify_decomposition(m, dec.n1, dec.n2)
+
+
+def _padded(alg, top, n):
+    """The square block `top` (+) the zero matrix, n x n in all."""
+    rows = [[alg.zero()] * n for _ in range(n)]
+    for r, row in enumerate(top):
+        rows[r][: len(row)] = row
+    return QMatrix(rows)
+
+
+def _structured(ab, label):
+    alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+    one, i, j, _ = alg.basis()
+    z = alg.zero()
+    tops = {"J2(i)": [[i, one], [z, i]], "[[i,1],[0,j]]": [[i, one], [z, j]], "[[0,1],[i,0]]": [[z, one], [i, z]]}
+    if label.startswith("Diag"):
+        half = label.count("-1")
+        return QMatrix.diagonal([one] * half + [-one] * half)
+    top, n = label.rsplit("+0-n", 1)
+    return _padded(alg, tops[top], int(n))
+
+
+# (algebra, label) -> digest of decomposition_to_json for derogatory (no
+# cyclic vector) and n = 3 matrices, whose reductions must not move when the
+# generic path changes
+STRUCTURED = {
+    (HAMILTON, "J2(i)+0-n4"): "d526d77892e8df86e05d4cb06ea4cf13ac7e9f8371e4b750f34fd0f8a9405727",
+    (HAMILTON, "J2(i)+0-n5"): "f33560241d3e15faa3252a67180501d2019c218438714823bd6e04288575a74c",
+    (HAMILTON, "[[i,1],[0,j]]+0-n3"): "b4699824f4e620ceefa8bada0239193549a118a6cb31cd61d50e5cbfa3b6be3c",
+    (HAMILTON, "[[i,1],[0,j]]+0-n5"): "ba1d17156ce749f1954f802070fe6c1d701de5aa6addc63480e8ad7d7e50fd5f",
+    (HAMILTON, "[[0,1],[i,0]]+0-n3"): "1a8aa39fc0695643b4ab92db86dbc30f6917380d8cc0c5bf8be8a26a84b691df",
+    (HAMILTON, "Diag(1,1,-1,-1)"): "058daa3ed991685db798ffc6960168f3555edd1fa439c41ec702452bc3029196",
+    (HAMILTON, "Diag(1,1,1,-1,-1,-1)"): "e5193ca4300ac6257da9dbc540597bf4edf3a05637847272a7c9317bcfee6c23",
+    (OTHER, "J2(i)+0-n4"): "4bc38d8737731c44512466ed2e85f358dee7539f9bd3ea0f38dfe997f919d78b",
+    (OTHER, "J2(i)+0-n5"): "9c5ab9193117deae8dcdb00e347e2f73d45880e7640fa143dd00d950fba11587",
+    (OTHER, "[[i,1],[0,j]]+0-n3"): "fce1bca1d7ce56fc0c2c2a6c98831db3721eb158d38de6bc44464361e7590984",
+    (OTHER, "[[i,1],[0,j]]+0-n5"): "36bfed21f59421d4d1680381b4dd9e03230640ef1e122e568a718e90a3896018",
+    (OTHER, "[[0,1],[i,0]]+0-n3"): "74513c6088adf3e7df7d60d29391724f018a29ae471d118a0a1a56a7614f64bf",
+    (OTHER, "Diag(1,1,-1,-1)"): "015185e45b6ceb2e079f988e267578de0b521eab44ec73d3e2ccb03a73d100da",
+    (OTHER, "Diag(1,1,1,-1,-1,-1)"): "030b483949dcb1dfec70bd29cba0d0d78e331ff7dc72ba613b165f68494c69eb",
+}
+
+
+@pytest.mark.parametrize("key", list(STRUCTURED), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_structured_decomposition_digest(key):
+    m = _structured(*key)
+    dec = decompose_two_nilpotents(m)
+    assert _digest(jsonio.decomposition_to_json(dec)) == STRUCTURED[key]
+    assert verify_certificate(m, dec.n1, dec.n2, dec.witness)
 
 
 # label -> (instance, digest of decision_to_json, digest of classification_to_json)

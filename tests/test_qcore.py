@@ -31,7 +31,6 @@ from quatnil.qcore import (
     pure_as_commutator,
     quadratic_identity_check,
     sqrt_pure,
-    squarefree_part,
     sylvester_solve,
     translate_conjugate,
 )
@@ -281,10 +280,10 @@ class TestLocalSquares:
         assert not is_square_in_Qv(Fraction(3), 3)
 
     def test_squarefree_part(self):
-        s, t = squarefree_part(Fraction(18))
-        assert s == 2 and t == 3 and s * t * t == 18
-        s, t = squarefree_part(Fraction(-9, 2))
-        assert s * t * t == Fraction(-9, 2) and s == -2
+        s, t, primes = qcore._squarefree_model(Fraction(18))
+        assert s == 2 and t == 3 and s * t * t == 18 and primes == [2]
+        s, t, primes = qcore._squarefree_model(Fraction(-9, 2))
+        assert s * t * t == Fraction(-9, 2) and s == -2 and primes == [2]
 
 
 class TestConjugacy:
