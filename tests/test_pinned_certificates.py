@@ -100,24 +100,18 @@ def test_decomposition_digest(key):
     assert verify_decomposition(m, dec.n1, dec.n2)
 
 
-def _padded(alg, top, n):
-    """The square block `top` (+) the zero matrix, n x n in all."""
-    rows = [[alg.zero()] * n for _ in range(n)]
-    for r, row in enumerate(top):
-        rows[r][: len(row)] = row
-    return QMatrix(rows)
-
-
 def _structured(ab, label):
+    """Diag(1,...,1,-1,...,-1), or a 2x2 block (+) the zero matrix for a label "<block>+0-n<n>"."""
     alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
     one, i, j, _ = alg.basis()
     z = alg.zero()
-    tops = {"J2(i)": [[i, one], [z, i]], "[[i,1],[0,j]]": [[i, one], [z, j]], "[[0,1],[i,0]]": [[z, one], [i, z]]}
     if label.startswith("Diag"):
         half = label.count("-1")
         return QMatrix.diagonal([one] * half + [-one] * half)
-    top, n = label.rsplit("+0-n", 1)
-    return _padded(alg, tops[top], int(n))
+    block, n = label.rsplit("+0-n", 1)
+    top = {"J2(i)": [[i, one], [z, i]], "[[i,1],[0,j]]": [[i, one], [z, j]], "[[0,1],[i,0]]": [[z, one], [i, z]]}[block]
+    pad = int(n) - 2
+    return QMatrix([row + [z] * pad for row in top] + [[z] * int(n) for _ in range(pad)])
 
 
 # (algebra, label) -> digest of decomposition_to_json for derogatory (no
