@@ -4,13 +4,14 @@ Every matrix accepted by the decision procedure is conjugated to a matrix
 with zero diagonal; splitting that into strictly upper and strictly lower
 parts and pulling back through the witness yields the two nilpotent
 summands.  The matrix is decided once, and the diagonal-zero reduction
-works by cases on that decision: a spectral basis trick for 2x2, a
-reduction to a rational trace-zero matrix when the decision carries type-II
-data, and for every other n >= 3 one companion basis (x, Mx, ..., M^(n-1) x)
-from the first cyclic candidate x.  Only a candidate that is not cyclic, at
-n >= 4, takes a perturbation-and-recurse step, which hands the accepted
-trailing block's own decision to the recursion.  The reductions build their
-witnesses without re-checking them.
+works by cases on that decision: a spectral basis trick for 2x2, one
+closed-form basis when the decision carries type-II data (it conjugates M
+to lam*(I - J), or to E_12 when lam = 0), and for every other n >= 3 one
+companion basis (x, Mx, ..., M^(n-1) x) from the first cyclic candidate x.
+Only a candidate that is not cyclic, at n >= 4, takes a
+perturbation-and-recurse step, which hands the accepted trailing block's
+own decision to the recursion.  The reductions build their witnesses
+without re-checking them.
 Each public function checks the certificate it returns once, with explicit
 tests that `python -O` keeps, and raises CertificateError if a check fails.
 A decomposition is checked through its witness (`verify_certificate`):
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import ratlin
@@ -134,9 +136,20 @@ def field_diag_zero(m: QMatrix) -> SimilarityWitness:
 
     Classical induction: pick x with Mx outside the line of x, pass to a
     basis starting (x, Mx) which zeroes the leading diagonal entry, and
-    recurse on the trailing block (its trace stays zero, and over a field of
-    characteristic zero a scalar trace-zero block is zero).
+    recurse on the trailing block.  The input is checked here once: the
+    trailing block of a rational trace-zero matrix with a zero corner is
+    rational with trace zero, and over a field of characteristic zero a
+    scalar trace-zero block is zero, so every block the recursion meets is
+    zero or nonscalar.  The decomposition itself never takes this path.
     """
+    if not m.is_square():
+        raise PreconditionError("square input required")
+    if not m.is_rational():
+        raise PreconditionError("entries must be rational (central)")
+    if not m.is_zero() and m.rational_scalar_value() is not None:
+        raise PreconditionError("nonzero scalar matrices have no zero-diagonal form")
+    if reduced_trace(m) != 0:
+        raise PreconditionError("trace must be zero")
     witness, result = _certify(m, _field_diag_zero_inner(m))
     if not result.is_rational():
         raise CertificateError("field reduction left the rationals")
@@ -144,18 +157,9 @@ def field_diag_zero(m: QMatrix) -> SimilarityWitness:
 
 
 def _field_diag_zero_inner(m: QMatrix) -> SimilarityWitness:
-    if not m.is_square():
-        raise PreconditionError("square input required")
-    if not m.is_rational():
-        raise PreconditionError("entries must be rational (central)")
     n = m.rows
     if m.is_zero():
         return SimilarityWitness.identity(n, m.algebra)
-    if m.rational_scalar_value() is not None:
-        raise PreconditionError("nonzero scalar matrices have no zero-diagonal form")
-    if reduced_trace(m) != 0:
-        raise PreconditionError("trace must be zero")
-
     # a nonscalar rational matrix moves some e_s or e_s + e_t off its line
     base = next(filter(None, (_corner_basis(m, x) for x in _vector_candidates(n, m.algebra))))
     w_sub = _field_diag_zero_inner(conjugate_by(m, base).submatrix(range(1, n), range(1, n)))
@@ -363,23 +367,26 @@ def _diag_zero_2x2(m: QMatrix, decision: Decision) -> SimilarityWitness:
 
 
 def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> SimilarityWitness:
-    """Rank-one perturbations of scalars with zero supertrace: rationalize, then reduce.
+    """Closed-form basis for M = lam*I + c*r with zero supertrace, so that r*c = -n*lam.
 
-    In a basis adapted to the rank-one part the whole matrix has rational
-    entries and zero trace, so the classical field reduction applies.
+    lam != 0: with k_1..k_(n-1) a basis of ker r and k_n = -(k_1 + ... + k_(n-1)),
+    the columns s_i = c/n + k_i are a basis, because c is outside ker r.
+    They sum to c and r*s_i = -lam, so
+    M s_i = lam*s_i + c*(r*s_i) = lam*s_i - lam*(s_1 + ... + s_n):
+    in this basis M is lam*(I - J), with J the all-ones matrix, whose
+    diagonal is zero.
+    lam = 0: M = c*r is square-zero, and with r*p = 1 the basis
+    (c, p, ker r ...) makes M equal to E_12.
     """
     n = m.rows
-    alg = m.algebra
-    c = data.column
-    if not data.image_eigenvalue.is_zero():
-        cols = [c] + kernel_basis(data.rank_one)
-    else:
+    c, kernel = data.column, kernel_basis(data.rank_one)
+    if data.lam == 0:
         t0 = next(t for t in range(n) if not data.row[t].is_zero())
-        preimage = QVector.unit(n, t0, alg).scale_right(data.row[t0].inverse())
-        cols = independent_subfamily([c, preimage, *kernel_basis(data.rank_one)])
-    base = _to_basis(cols)
-    w_field = _field_diag_zero_inner(conjugate_by(m, base))
-    return w_field.compose(base)
+        preimage = QVector.unit(n, t0, m.algebra).scale_right(data.row[t0].inverse())
+        return _to_basis(independent_subfamily([c, preimage, *kernel]))
+    kernel.append(-sum(kernel[1:], kernel[0]))
+    centre = c.scale_right(Fraction(1, n))
+    return _to_basis([centre + k for k in kernel])
 
 
 def _square_zero_pair_witness(a_mat: QMatrix, b_mat: QMatrix) -> SimilarityWitness:

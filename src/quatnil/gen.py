@@ -35,6 +35,10 @@ class InstanceSpec:
             raise ParameterError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.n < 1:
             raise ParameterError("size must be positive")
+        if self.height < 1:
+            # a height-0 draw is all zeros, which the rejection loops never accept,
+            # and a negative height leaves no value to draw
+            raise ParameterError("height must be positive")
         if self.kind == "type-III" and self.n != 3:
             raise ParameterError("type-III instances exist only at size 3")
         if self.kind == "type-II" and self.n < 2:

@@ -227,11 +227,6 @@ def _local_model(a: Fraction, b: Fraction) -> tuple:
     return a_sf, a_scale, b_sf, b_scale, primes, ramified
 
 
-def ramified_places(a: Fraction, b: Fraction) -> list:
-    """Places of Q where (a,b/Q) is locally a division algebra."""
-    return list(_local_model(rat(a), rat(b))[-1])
-
-
 def is_division(a: RationalLike, b: RationalLike) -> bool:
     """Whether (a,b/Q) is a division algebra.
 
@@ -242,7 +237,7 @@ def is_division(a: RationalLike, b: RationalLike) -> bool:
     a, b = rat(a), rat(b)
     if a == 0 or b == 0:
         raise ParameterError("algebra parameters must be nonzero")
-    return bool(ramified_places(a, b))
+    return bool(_local_model(a, b)[-1])
 
 
 def is_square_in_Qv(e: Fraction, place) -> bool:
@@ -616,25 +611,6 @@ def translate_conjugate(p: Quaternion, q: Quaternion) -> Quaternion:
     if not are_conjugate(p + r, q + r):
         raise CertificateError(f"translate_conjugate: {p} + r and {q} + r are not conjugate")
     return r
-
-
-def pure_as_commutator(p: Quaternion) -> tuple[Quaternion, Quaternion]:
-    """A pair (u, v) with u*v - v*u == p, for pure p.
-
-    Translate p so that p+r is conjugate to r, take g with g*r*g^-1 = p+r;
-    then p = [g*r, g^-1].  The output is verified before returning.
-    """
-    if p.reduced_trace() != 0:
-        raise PreconditionError("pure_as_commutator requires a pure quaternion")
-    zero = p.algebra.zero()
-    if p.is_zero():
-        return zero, zero
-    r = translate_conjugate(p, zero)
-    g = conjugator(p + r, r)
-    u, v = g * r, g.inverse()
-    if u * v - v * u != p:
-        raise CertificateError(f"pure_as_commutator: [u, v] != {p}")
-    return u, v
 
 
 # ---------------------------------------------------------------------------

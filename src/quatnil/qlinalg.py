@@ -290,14 +290,6 @@ def kernel_basis(m: QMatrix) -> list[QVector]:
     return [QVector(v) for v in ratlin.kernel(m.entries)]
 
 
-def solve_right(m: QMatrix, b: QVector) -> Optional[QVector]:
-    """Particular solution X of M X = B with free coordinates zero, or None."""
-    if b.dim != m.rows:
-        raise DimensionMismatchError("right-hand side has wrong dimension")
-    sol = ratlin.solve(m.entries, b.entries)
-    return None if sol is None else QVector(sol)
-
-
 def invert(m: QMatrix) -> Optional[QMatrix]:
     """Exact inverse for full-rank square matrices, else None.
 
@@ -349,13 +341,6 @@ class SimilarityWitness:
         object.__setattr__(obj, "P", p)
         object.__setattr__(obj, "Pinv", pinv)
         return obj
-
-    @classmethod
-    def from_matrix(cls, p: QMatrix) -> "SimilarityWitness":
-        pinv = invert(p)
-        if pinv is None:
-            raise PreconditionError("witness matrix is singular")
-        return cls._trusted(p, pinv)
 
     @classmethod
     def identity(cls, n: int, algebra: AlgebraParams) -> "SimilarityWitness":

@@ -1,13 +1,17 @@
 import importlib
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from quatnil import jsonio, qcore
 from quatnil.cli import main
 from quatnil.errors import ParseError
+from quatnil.gen import KINDS
 from quatnil.qcore import AlgebraParams
 from quatnil.qlinalg import QMatrix
 
@@ -289,6 +293,23 @@ class TestCli:
         rc = main(["gen", "--kind", "type-III", "-n", "4", "--seed", "0",
                    "-o", str(tmp_path / "x.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("height", [0, -1])
+    def test_gen_rejects_a_height_below_one(self, height, tmp_path):
+        # in a subprocess with a timeout, so that a rejection loop that never
+        # ends fails the test instead of hanging it
+        src = Path(__file__).resolve().parents[1] / "src"
+        for kind in KINDS:
+            out = subprocess.run(
+                [sys.executable, "-m", "quatnil.cli", "gen", "--kind", kind, "-n", "3",
+                 "--height", str(height), "-o", str(tmp_path / "x.json")],
+                env={"PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+            assert out.returncode == 2, (kind, out.stderr)
+            assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, (kind, out.stderr)
 
     def test_split_algebra_exit_code(self, tmp_path):
         rc = main(["gen", "--kind", "random", "-n", "2", "--algebra", "1,-1",

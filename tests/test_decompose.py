@@ -394,6 +394,39 @@ class TestDecompose:
         dec = decompose_two_nilpotents(m)
         assert_both_checks_pass(m, dec)
 
+    @pytest.mark.parametrize("ab", [(-1, -1), (-1, -7), (2, -5)], ids=str)
+    def test_type_ii_closed_form_basis(self, ab, monkeypatch):
+        # one basis change gives lam*(I - J), or E_12 when lam = 0, with no field recursion
+        alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+        calls = {"invert": 0, "field": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(decompose_module, "invert", counted("invert", decompose_module.invert))
+        monkeypatch.setattr(
+            decompose_module,
+            "_field_diag_zero_inner",
+            counted("field", decompose_module._field_diag_zero_inner),
+        )
+        for n in range(3, 8):
+            for lam in (-2, 0, 1):
+                m = generate(InstanceSpec(alg, n, "type-II", seed=n, lam=Fraction(lam)))
+                if lam:
+                    want = [[alg.scalar(0 if s == t else -lam) for t in range(n)] for s in range(n)]
+                else:
+                    want = [[alg.zero()] * n for _ in range(n)]
+                    want[0][1] = alg.one()
+                calls.update(invert=0, field=0)
+                dec = decompose_two_nilpotents(m)
+                assert dec.diag_zero == QMatrix(want), (n, lam)
+                assert calls == {"invert": 1, "field": 0}, (n, lam)
+                assert verify_decomposition(m, dec.n1, dec.n2)
+
     def test_round_trip_small_sizes(self, H):
         rng = random.Random(7)
         from quatnil.classify import Verdict, classify

@@ -28,7 +28,6 @@ from quatnil.qcore import (
     is_division,
     is_square_in_Qv,
     polar_form,
-    pure_as_commutator,
     quadratic_identity_check,
     sqrt_pure,
     sylvester_solve,
@@ -449,32 +448,6 @@ class TestTranslateConjugate:
                     assert translate_conjugate(p, q) == self.by_height(p, q), (ab, p, q)
 
 
-class TestPureAsCommutator:
-    def test_two_i(self, H):
-        u, v = pure_as_commutator(H.quat(0, 2))
-        assert (u, v) == (H.k(), -H.j())
-        assert u * v - v * u == H.quat(0, 2)
-
-    def test_zero(self, H):
-        assert pure_as_commutator(H.zero()) == (H.zero(), H.zero())
-
-    def test_j_minus_k(self, H):
-        p = H.quat(0, 0, 1, -1)
-        u, v = pure_as_commutator(p)
-        assert u * v - v * u == p
-
-    def test_nonpure_rejected(self, H):
-        with pytest.raises(PreconditionError):
-            pure_as_commutator(H.one())
-
-    def test_randomized(self, H):
-        rng = random.Random(79)
-        for _ in range(25):
-            p = random_quaternion(rng, H, 5).pure_part()
-            u, v = pure_as_commutator(p)
-            assert u * v - v * u == p
-
-
 class TestSqrtPure:
     def test_minus_two(self, H):
         s = sqrt_pure(Fraction(-2), H)
@@ -544,7 +517,7 @@ class TestSqrtPure:
         for ab, e, must_exist in cases:
             alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
             s = sqrt_pure(e, alg)
-            refused = any(is_square_in_Qv(e, v) for v in qcore.ramified_places(alg.a, alg.b))
+            refused = any(is_square_in_Qv(e, v) for v in alg.ramified)
             assert (s is None) == refused and not (must_exist and refused), (ab, e)
             if s is not None:
                 assert s.is_pure() and s * s == alg.scalar(e), (ab, e)
@@ -660,11 +633,6 @@ class TestWitnessChecks:
             monkeypatch.setattr(ratlin, "solve", lambda rows, rhs: wrong)
             with pytest.raises(CertificateError):
                 translate_conjugate(H.quat(0, 2), H.zero())
-
-    def test_commutator_rejects_a_wrong_conjugator(self, H, monkeypatch):
-        monkeypatch.setattr(qcore, "conjugator", lambda p, q: p.algebra.one())
-        with pytest.raises(CertificateError):
-            pure_as_commutator(H.quat(0, 2))
 
     def test_conjugator_check_survives_optimize(self):
         # python -O strips asserts; the witness check must not be one

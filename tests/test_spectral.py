@@ -225,7 +225,7 @@ class TestUnispectralDiagonalizable:
                 )
                 if invert(p) is not None:
                     break
-            m = conjugate_by(d, SimilarityWitness.from_matrix(p))
+            m = conjugate_by(d, SimilarityWitness(p, invert(p)))
             cert = unispectral_diagonalizable(m)
             assert cert is not None
             self._assert_valid(m, cert)
