@@ -15,10 +15,16 @@ import pytest
 
 from quatnil import jsonio
 from quatnil.classify import classify, is_sum_of_two_nilpotents
-from quatnil.decompose import decompose_two_nilpotents, verify_certificate, verify_decomposition
+from quatnil.decompose import (
+    decompose_two_nilpotents,
+    diag_zero_form,
+    field_diag_zero,
+    verify_certificate,
+    verify_decomposition,
+)
 from quatnil.gen import InstanceSpec, generate, two_square_zero_sum
 from quatnil.qcore import AlgebraParams
-from quatnil.qlinalg import QMatrix
+from quatnil.qlinalg import QMatrix, conjugate_by
 
 HAMILTON = (-1, -1)
 OTHER = (-1, -7)
@@ -175,3 +181,143 @@ def test_refusal_digests(label):
     assert not decision.answer
     assert _digest(jsonio.decision_to_json(decision)) == want_decision
     assert _digest(jsonio.classification_to_json(classify(m))) == want_classification
+
+
+def _witness_digests(w) -> tuple[str, str]:
+    return _digest(jsonio.matrix_to_json(w.P)), _digest(jsonio.matrix_to_json(w.Pinv))
+
+
+def _field_matrix(ab, label):
+    """Rational trace-zero matrix: Diag(...), the shift "shift-n<n>", or "rand-n<n>-s<seed>".
+
+    A seeded draw takes entries in -3..3 and fixes the trace with the last
+    diagonal entry.
+    """
+    alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+    if label.startswith("Diag("):
+        return QMatrix.diagonal([alg.scalar(Fraction(v)) for v in label[5:-1].split(",")])
+    kind, n, *seed = label.split("-")
+    n = int(n[1:])
+    if kind == "shift":
+        return QMatrix([[alg.scalar(int(s == t + 1)) for t in range(n)] for s in range(n)])
+    rng = random.Random(int(seed[0][1:]))
+    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    rows[n - 1][n - 1] -= sum(rows[s][s] for s in range(n))
+    return QMatrix([[alg.scalar(v) for v in row] for row in rows])
+
+
+# (algebra, label) -> digests of P and Pinv from field_diag_zero, recorded
+# before its recursion was rewritten to build one basis; the Diag and zero
+# labels are derogatory, the shift and the seeded draws cyclic
+FIELD = {
+    (HAMILTON, "Diag(1,-1)"): (
+        "815b9a1c05b78074089498f734d3ea4b964750ae64e9dada73c163a014322e2e",
+        "b032ae1608477ece65d2660320cc23b1c56935dc374711b5bd0c7000f29d74f8",
+    ),
+    (HAMILTON, "rand-n2-s1"): (
+        "1e693f196fe3ec4a335b4dfba86929882cac836c0c39b98e1319deedd562cb23",
+        "6e840766283b7cded23411adfee3d9652e5837f633205226247c7eb8560e121d",
+    ),
+    (HAMILTON, "Diag(2,-1,-1)"): (
+        "3bbfec7a1b369cc961558490880bc18b7cc3cad6141d7399a08cad9ba8a35df3",
+        "bf17c216cbaf1fb19b129b95aaae48425d84f939a5581fe6560e04781369e422",
+    ),
+    (HAMILTON, "rand-n3-s2"): (
+        "b87a588ceff18ce8bf1a842b8ea92c0fa17edf283a597bd0cfb9a408c99f5d71",
+        "a3d5fc306a5fc84d01fc8a449e7fc44180f54f7d65ae378ee171a010b914da0d",
+    ),
+    (HAMILTON, "Diag(1,1,-1,-1)"): (
+        "f251f9bbdefe064aefbe1206e0fae0772d577d4cde0052864ca0371643e60bda",
+        "05f0a23e23342d39b4e0560daf10b2e0768b7038a821dc0b194d1631cd138953",
+    ),
+    (HAMILTON, "shift-n4"): (
+        "3bcf9a1f35c8cdbebd31e3737c6fd147b808440f68c7f5e237deaa8087534c0c",
+        "3bcf9a1f35c8cdbebd31e3737c6fd147b808440f68c7f5e237deaa8087534c0c",
+    ),
+    (HAMILTON, "rand-n4-s3"): (
+        "3c470222bcee855993d31ba6afe8eb2384f19a65d544c40d168e6bce18dbbdc9",
+        "8a6fb2cd37f3e4f35aee6827e50e958c98e5032e6df787657917cfea319ca7a6",
+    ),
+    (OTHER, "rand-n4-s4"): (
+        "5232f1dbaa80d6800f0866ee8a821bbadd65a2a26e3dbad63dd3b29267f25df4",
+        "17e06a090e864d4369382198422d921195bd8cc4c6ba881ee8acc3da50fd1e46",
+    ),
+    (HAMILTON, "Diag(0,0,0,0,0)"): (
+        "a08e39e2b4f5d6c980bf2eee9778ccc1673de0a5f45ac0ab1d403dfd5c5f09e1",
+        "a08e39e2b4f5d6c980bf2eee9778ccc1673de0a5f45ac0ab1d403dfd5c5f09e1",
+    ),
+    (HAMILTON, "rand-n5-s5"): (
+        "1946749712db875ea5b6a903fcc6923e5475b2906902cc297d7b3dbafbf3e8b3",
+        "2dfc551f8937e20da303c2078ee509ebe1e5fcc25e83627228b7592ce3a4a29d",
+    ),
+    (HAMILTON, "Diag(1,1,1,-1,-1,-1)"): (
+        "ba2c3e3d3b7aaa31982829d54f9ea1d12b2516a2a93c3bd39f9ab8e79e4eaa5c",
+        "0e6f3deb343b52969f97d7adb11ef93ece2c607eda073f5ca255309449eb5b9a",
+    ),
+    (HAMILTON, "rand-n6-s6"): (
+        "d99167b06d55811e9af87099b42d59a4a793bcb32debacce87f2191e3a2317e3",
+        "9744f870839802b2a8cfd53e773fec1fbcfd48af5e861918b0a71185034576b9",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(FIELD), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_field_diag_zero_digest(key):
+    m = _field_matrix(*key)
+    w = field_diag_zero(m)
+    assert _witness_digests(w) == FIELD[key]
+    assert conjugate_by(m, w).has_zero_diagonal()
+
+
+def _diag_zero_input(ab, kind, n, seed):
+    if kind == "derogatory":
+        return _structured(ab, f"J2(i)+0-n{n}")
+    extra = {"lam": Fraction(1)} if kind == "type-II" else {}
+    return _instance(ab, n, kind, seed, **extra)
+
+
+# (algebra, kind, n, seed) -> digests of P and Pinv from diag_zero_form,
+# recorded before the reductions were rewritten to build one basis each;
+# "derogatory" is J2(i) (+) 0, which no seed draws
+DIAG_ZERO = {
+    (HAMILTON, "two-square-zero", 2, 41): (
+        "66620e081bb330b0bf2cc125b9e0ec3f0c1d5de1d57ee7149e8d000701460307",
+        "e374762d24e48af15ad5343b29c409fbff7cb28ef19ff6c9e05f7b0cbe90be6c",
+    ),
+    (HAMILTON, "type-II", 4, 42): (
+        "14a4a907a00aacfd241b428fc5db2d7c3574a5ad9905f8643f1dfe8ac75f4773",
+        "bc5673a9f80db2862491adb23c79b6797e99e22046dc48c89611b85b99785677",
+    ),
+    (HAMILTON, "generic-trace-zero", 5, 43): (
+        "4da943552f079933d6702e8be6850a3bc611da386314d98f516972be2526b73e",
+        "cc22beccfb946c54545d947d0a11c772e8616071afc49bc997528bd55a630a1c",
+    ),
+    (HAMILTON, "derogatory", 4, 0): (
+        "1ccc6981940ac0065c2dde7cffbb4617830467442025b9fafce4d6ba4eca94c3",
+        "272e23360ad5f8c439c28921fdc1afcbeeaaf14f848aa99be2e30066ee5cb406",
+    ),
+    (OTHER, "two-square-zero", 2, 51): (
+        "bcd0227ce6240e6ced20d6e7d9dbeadd6bf6188376bd1051c41ad94b0bd9c526",
+        "0d8faaab593361e30fe4ce2bc7abfb661d2365b01ae7e75f60c6cf5f8937b50a",
+    ),
+    (OTHER, "type-II", 4, 52): (
+        "0f221c67952e4f2685786c8403e0a8f3ae65924cbbb97635451b858d5374f45b",
+        "3bdfa4d6fcac88af0a9aebd46fd283d34e4014c5fb87188acab5c7d3f6c7405b",
+    ),
+    (OTHER, "generic-trace-zero", 5, 53): (
+        "97c71e29ba38f0ecdbae475bba6d9b05daa018d4ffcd57f8e58c72868dea3398",
+        "f3779ea0d6bcd3a923b0dcbedd46c6cb2025ddbb83045b8fb7533ab76f9fa74b",
+    ),
+    (OTHER, "derogatory", 4, 0): (
+        "d51f6d852071dbd8824ea00a2798006f48c617180b728bc37af3b22cf84eb45f",
+        "b8a1a37092ea45874dac6c0764e5ef824d1b103629986b0e5718459958eb4876",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(DIAG_ZERO), ids=lambda k: f"{k[0]}-{k[1]}-n{k[2]}")
+def test_diag_zero_form_digest(key):
+    m = _diag_zero_input(*key)
+    w = diag_zero_form(m)
+    assert _witness_digests(w) == DIAG_ZERO[key]
+    assert conjugate_by(m, w).has_zero_diagonal()
