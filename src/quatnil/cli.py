@@ -7,7 +7,9 @@ strictly upper, P*N2*Pinv strictly lower; a failure prints its reason as an
 witness (`verify_decomposition`).
 
 Exit codes: 0 success / decision yes; 1 `check` found the certificate
-INVALID (or `selftest` failed); 2 parse or invalid-request error; 3 decision
+INVALID (or `selftest` failed); 2 parse or invalid-request error (also a
+malformed rational, an exponent beyond 4300 in magnitude, or an algebra
+parameter whose |numerator|*denominator exceeds 64 bits); 3 decision
 no; 4 the requested algebra is not a division algebra; 5 a construction
 search ran out (SearchBudgetExceeded: the end of a fixed candidate list, or
 the trial-decision cap that non-cyclic corner vectors spend at n >= 4; the

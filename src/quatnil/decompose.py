@@ -1,22 +1,19 @@
 """Constructive two-nilpotent decompositions with checked certificates.
 
 Every matrix accepted by the decision procedure is conjugated to a matrix
-with zero diagonal; splitting that into strictly upper and strictly lower
-parts and pulling back through the witness yields the two nilpotent
-summands.  The matrix is decided once, and the diagonal-zero reduction
-works by cases on that decision: a spectral basis trick for 2x2, one
-closed-form basis when the decision carries type-II data (it conjugates M
-to lam*(I - J), or to E_12 when lam = 0), and for every other n >= 3 one
-companion basis (x, Mx, ..., M^(n-1) x) from the first cyclic candidate x.
-Only a candidate that is not cyclic, at n >= 4, takes a
-perturbation-and-recurse step, which hands the accepted trailing block's
-own decision to the recursion.  The reductions build their witnesses
-without re-checking them.
-Each public function checks the certificate it returns once, with explicit
-tests that `python -O` keeps, and raises CertificateError if a check fails.
+with zero diagonal, whose strictly upper and strictly lower parts pull back
+to the two nilpotent summands.  The matrix is decided once, and each case
+of that decision builds one basis S in which M has zero diagonal: (x, Mx)
+at n = 2, a closed form for type-II data (M becomes lam*(I - J), or E_12
+when lam = 0), and otherwise the companion basis (x, Mx, ..., M^(n-1) x)
+of the first cyclic candidate x.  Only a non-cyclic candidate at n >= 4
+perturbs and recurses on the trailing block, whose basis T recombines the
+trailing columns: S*(I (+) T).  Each public function inverts S once,
+P = S^-1 and Pinv = S, and checks what it returns with explicit tests that
+`python -O` keeps; a singular S or a failed check raises CertificateError.
 A decomposition is checked through its witness (`verify_certificate`):
-P*N1*Pinv strictly upper and P*N2*Pinv strictly lower triangular prove
-both summands nilpotent without powering them.
+P*N1*Pinv strictly upper and P*N2*Pinv strictly lower triangular prove both
+summands nilpotent without powering them.
 """
 
 from __future__ import annotations
@@ -134,13 +131,12 @@ def certificate_defect(
 def field_diag_zero(m: QMatrix) -> SimilarityWitness:
     """Zero-diagonal similarity for a rational trace-zero matrix (nonscalar or zero).
 
-    Classical induction: pick x with Mx outside the line of x, pass to a
-    basis starting (x, Mx) which zeroes the leading diagonal entry, and
-    recurse on the trailing block.  The input is checked here once: the
-    trailing block of a rational trace-zero matrix with a zero corner is
-    rational with trace zero, and over a field of characteristic zero a
-    scalar trace-zero block is zero, so every block the recursion meets is
-    zero or nonscalar.  The decomposition itself never takes this path.
+    Classical induction: a corner basis (x, Mx, ...) zeroes the leading
+    diagonal entry, and the recursion reduces the trailing block.  The input
+    is checked here once: that block is rational with trace zero, and over a
+    field of characteristic zero a scalar trace-zero block is zero, so every
+    block the recursion meets is zero or nonscalar.  The decomposition
+    itself never takes this path.
     """
     if not m.is_square():
         raise PreconditionError("square input required")
@@ -153,54 +149,37 @@ def field_diag_zero(m: QMatrix) -> SimilarityWitness:
     witness, result = _certify(m, _field_diag_zero_inner(m))
     if not result.is_rational():
         raise CertificateError("field reduction left the rationals")
-    return witness
+    return checked_witness(witness.P, witness.Pinv)
 
 
-def _field_diag_zero_inner(m: QMatrix) -> SimilarityWitness:
-    n = m.rows
+def _field_diag_zero_inner(m: QMatrix) -> QMatrix:
     if m.is_zero():
-        return SimilarityWitness.identity(n, m.algebra)
+        return QMatrix.identity(m.rows, m.algebra)
     # a nonscalar rational matrix moves some e_s or e_s + e_t off its line
-    base = next(filter(None, (_corner_basis(m, x) for x in _vector_candidates(n, m.algebra))))
-    w_sub = _field_diag_zero_inner(conjugate_by(m, base).submatrix(range(1, n), range(1, n)))
-    return _embed_witness(w_sub, n).compose(base)
+    base, trailing = next(filter(None, (_corner_basis(m, x) for x in _vector_candidates(m.rows, m.algebra))))
+    return _recombine(base, _field_diag_zero_inner(trailing))
 
 
-def _embed_witness(w: SimilarityWitness, n: int) -> SimilarityWitness:
-    """I_(n-k) (+) P block witness acting on the trailing k coordinates."""
-
-    def embed(mat: QMatrix) -> QMatrix:
-        rows = [list(row) for row in QMatrix.identity(n, mat.algebra).entries]
-        for r, row in enumerate(mat.entries, start=n - mat.rows):
-            rows[r][n - mat.rows :] = row
-        return QMatrix(rows)
-
-    return SimilarityWitness._trusted(embed(w.P), embed(w.Pinv))
+def _recombine(s: QMatrix, t: QMatrix) -> QMatrix:
+    """S*(I (+) T): the trailing columns of S recombined by the square block T."""
+    k = s.cols - t.rows
+    tail = s.submatrix(range(s.rows), range(k, s.cols)) * t
+    return QMatrix([row[:k] + new for row, new in zip(s.entries, tail.entries)])
 
 
-def _to_basis(cols: list[QVector]) -> Optional[SimilarityWitness]:
-    """Witness rewriting a matrix in the basis `cols` (P = S^-1, Pinv = S), or None if singular."""
-    s_mat = QMatrix.from_columns(cols)
-    p = invert(s_mat)
-    return None if p is None else SimilarityWitness._trusted(p, s_mat)
+def _certify(m: QMatrix, s: QMatrix) -> tuple[SimilarityWitness, QMatrix]:
+    """The boundary of a reduction: P = S^-1, computed once, and P*M*S, which must have zero diagonal.
 
-
-def _unit_vectors(n: int, alg: AlgebraParams) -> list[QVector]:
-    return [QVector.unit(n, s, alg) for s in range(n)]
-
-
-def _certify(m: QMatrix, w: SimilarityWitness) -> tuple[SimilarityWitness, QMatrix]:
-    """The boundary check: (P, Pinv) mutually inverse and P*M*Pinv with zero diagonal."""
-    w = checked_witness(w.P, w.Pinv)
-    return w, _zero_diagonal_conjugate(m, w)
-
-
-def _zero_diagonal_conjugate(m: QMatrix, w: SimilarityWitness) -> QMatrix:
-    """P*M*Pinv, which the witness must bring to a zero diagonal."""
+    A singular S raises CertificateError; the caller checks the pair (P, S).
+    """
+    p = invert(s)
+    if p is None:
+        raise CertificateError("the reduction basis is singular")
+    w = SimilarityWitness._trusted(p, s)
     d = conjugate_by(m, w)
     if not d.has_zero_diagonal():
         raise CertificateError("witness does not conjugate the matrix to a zero diagonal")
-    return d
+    return w, d
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +245,7 @@ def _vector_candidates(n: int, alg: AlgebraParams) -> Iterator[QVector]:
     For u = ±1 the pair (t, s) gives ±(e_s + e_t*u) again, so a central u is
     taken only with s < t, and no candidate is ± an earlier one.
     """
-    e, units = _unit_vectors(n, alg), _units(alg)
+    e, units = QMatrix.identity(n, alg).columns(), _units(alg)
     yield from e
     for (s, t), u in itertools.product(itertools.permutations(range(n), 2), units):
         if s < t or not u.is_central():
@@ -292,15 +271,23 @@ def _perturbation_lists(k: int, alg: AlgebraParams) -> Iterator[tuple[Quaternion
         yield placed((s, u), (t, v))
 
 
-def _corner_basis(m: QMatrix, x: QVector) -> Optional[SimilarityWitness]:
-    """Basis (x, Mx, units...) when Mx is off the line of x, else None.
+def _corner_basis(m: QMatrix, x: QVector) -> Optional[tuple[QMatrix, QMatrix]]:
+    """Basis S = (x, Mx, units...) and the trailing block of S^-1*M*S, or None if Mx is on x's line.
 
-    In such a basis the first column of M is e_2, so the corner entry is zero.
-    The greedy subfamily keeps Mx second exactly when Mx is off the line of x.
+    One elimination of [x, Mx, e_1, ..., e_n | M*Mx, M e_1, ..., M e_n]
+    picks the greedy basis, which keeps Mx second exactly when Mx is off the
+    line of x, and gives the coordinates of M s for each basis vector s;
+    the first column of S^-1*M*S is then e_2, so its corner is zero.
     """
+    n = m.rows
     mx = m.apply(x)
-    cols = independent_subfamily([x, mx, *_unit_vectors(m.rows, m.algebra)])
-    return _to_basis(cols) if cols[1] == mx else None
+    family = [x, mx, *QMatrix.identity(n, m.algebra).columns()]
+    reduced, pivots = ratlin.rref(QMatrix.from_columns([*family, m.apply(mx), *m.columns()]).entries, n + 2)
+    if pivots[1] != 1:
+        return None
+    # M maps family column p >= 1 to column n + 1 + p
+    trailing = QMatrix([[row[n + 1 + p] for p in pivots[1:]] for row in reduced[1:]])
+    return QMatrix.from_columns([family[p] for p in pivots]), trailing
 
 
 # ---------------------------------------------------------------------------
@@ -309,42 +296,37 @@ def _corner_basis(m: QMatrix, x: QVector) -> Optional[SimilarityWitness]:
 
 
 def diag_zero_form(m: QMatrix) -> SimilarityWitness:
-    """Witness conjugating M to a matrix with zero diagonal.
+    """Witness conjugating M, which the decision procedure must accept, to a zero diagonal.
 
-    Precondition: the decision procedure accepts M, which never runs out.
-    At n >= 3 a cyclic candidate vector gives one companion basis.  A
-    construction search that runs out (the end of a fixed candidate list,
-    or the trial-decision cap, which only non-cyclic corner vectors at
-    n >= 4 spend) raises SearchBudgetExceeded, which is never a
-    mathematical rejection; a witness that fails its check raises
-    CertificateError.
+    A construction search that runs out (the end of a fixed candidate list,
+    or the trial-decision cap that only non-cyclic corner vectors at n >= 4
+    spend) raises SearchBudgetExceeded, never a mathematical rejection; a
+    witness that fails its check raises CertificateError.
     """
-    return _certify(m, _decided_diag_zero(m))[0]
+    witness, _ = _certify(m, _decided_diag_zero(m))
+    return checked_witness(witness.P, witness.Pinv)
 
 
-def _decided_diag_zero(m: QMatrix) -> SimilarityWitness:
-    """Decide M once and reduce it by that decision; the witness is not yet checked."""
+def _decided_diag_zero(m: QMatrix) -> QMatrix:
+    """Decide M once and reduce it by that decision to a basis S, not yet inverted."""
     decision = is_sum_of_two_nilpotents(m)
     if not decision.answer:
-        raise PreconditionError(
-            f"matrix is not a sum of two nilpotents (reason: {decision.reason.value})"
-        )
+        raise PreconditionError(f"matrix is not a sum of two nilpotents (reason: {decision.reason.value})")
     return _diag_zero(m, decision)
 
 
-def _diag_zero(m: QMatrix, decision: Decision) -> SimilarityWitness:
-    """Zero-diagonal witness for M, by the case its accepting decision names."""
-    n = m.rows
+def _diag_zero(m: QMatrix, decision: Decision) -> QMatrix:
+    """Basis S with S^-1*M*S of zero diagonal, by the case M's accepting decision names."""
     if m.is_zero():
-        return SimilarityWitness.identity(n, m.algebra)
-    if n == 2:
+        return QMatrix.identity(m.rows, m.algebra)
+    if m.rows == 2:
         return _diag_zero_2x2(m, decision)
     if decision.type_ii is not None:
         return _diag_zero_type_ii(m, decision.type_ii)
     return _diag_zero_large(m)
 
 
-def _diag_zero_2x2(m: QMatrix, decision: Decision) -> SimilarityWitness:
+def _diag_zero_2x2(m: QMatrix, decision: Decision) -> QMatrix:
     """Basis (x, Mx) for an eigenvector x of M*M gives [[0, q], [1, 0]].
 
     q is the eigenvalue of the certificate for M*M that the decision built,
@@ -359,22 +341,20 @@ def _diag_zero_2x2(m: QMatrix, decision: Decision) -> SimilarityWitness:
         candidates = list(basis)
         candidates += [u + v for s, u in enumerate(basis) for v in basis[s + 1 :]]
         candidates += [u - v for s, u in enumerate(basis) for v in basis[s + 1 :]]
-    bases = filter(None, (_to_basis([x, m.apply(x)]) for x in candidates))
-    witness = next(bases, None)
-    if witness is None:
+    pairs = ([x, m.apply(x)] for x in candidates)
+    cols = next((pair for pair in pairs if len(independent_subfamily(pair)) == 2), None)
+    if cols is None:
         raise SearchBudgetExceeded("2x2 reduction: no independent (x, Mx) pair found")
-    return witness
+    return QMatrix.from_columns(cols)
 
 
-def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> SimilarityWitness:
+def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> QMatrix:
     """Closed-form basis for M = lam*I + c*r with zero supertrace, so that r*c = -n*lam.
 
     lam != 0: with k_1..k_(n-1) a basis of ker r and k_n = -(k_1 + ... + k_(n-1)),
     the columns s_i = c/n + k_i are a basis, because c is outside ker r.
-    They sum to c and r*s_i = -lam, so
-    M s_i = lam*s_i + c*(r*s_i) = lam*s_i - lam*(s_1 + ... + s_n):
-    in this basis M is lam*(I - J), with J the all-ones matrix, whose
-    diagonal is zero.
+    They sum to c and r*s_i = -lam, so M s_i = lam*s_i - lam*(s_1 + ... + s_n):
+    M is lam*(I - J), with J the all-ones matrix, whose diagonal is zero.
     lam = 0: M = c*r is square-zero, and with r*p = 1 the basis
     (c, p, ker r ...) makes M equal to E_12.
     """
@@ -383,33 +363,24 @@ def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> SimilarityWitness:
     if data.lam == 0:
         t0 = next(t for t in range(n) if not data.row[t].is_zero())
         preimage = QVector.unit(n, t0, m.algebra).scale_right(data.row[t0].inverse())
-        return _to_basis(independent_subfamily([c, preimage, *kernel]))
+        return QMatrix.from_columns(independent_subfamily([c, preimage, *kernel]))
     kernel.append(-sum(kernel[1:], kernel[0]))
     centre = c.scale_right(Fraction(1, n))
-    return _to_basis([centre + k for k in kernel])
+    return QMatrix.from_columns([centre + k for k in kernel])
 
 
-def _square_zero_pair_witness(a_mat: QMatrix, b_mat: QMatrix) -> SimilarityWitness:
-    """Zero-diagonal witness for A + B, with A and B nonzero 2x2 square-zero matrices.
-
-    With x spanning ker B and y spanning ker A, the basis (x, y) represents
-    A + B as [[0, *], [*, 0]]; when the kernels coincide, A + B is
-    square-zero and (x, e_s) makes it strictly upper triangular.
-    """
-    x, y = kernel_basis(b_mat)[0], kernel_basis(a_mat)[0]
-    return _to_basis(independent_subfamily([x, y, *_unit_vectors(2, a_mat.algebra)]))
-
-
-def _diag_zero_3x3(m: QMatrix, x: QVector) -> Optional[SimilarityWitness]:
-    """Companion-basis witness from x for any n >= 3, or None if x is not cyclic.
+def _diag_zero_3x3(m: QMatrix, x: QVector) -> Optional[QMatrix]:
+    """Companion basis from x for any n >= 3, or None if x is not cyclic.
 
     One elimination of [x, Mx, ..., M^(n-1) x | M^n x] tells whether the
     Krylov vectors are a basis and gives the coordinates c of M^n x, the
     last column of the companion matrix, whose diagonal is zero but for c_(n-1).
     Replacing the last basis vector by M^(n-1) x + M^(n-3) x*(delta - c_(n-2))
     turns the trailing 2x2 block into the completion's target
-    [[0, delta], [1, c_(n-1)]] and keeps the rest of the diagonal zero; the
-    completion's square-zero summands give the rest of the witness.
+    [[0, delta], [1, c_(n-1)]] = A + B and keeps the rest of the diagonal
+    zero.  With x' spanning ker B and y' spanning ker A, the basis (x', y')
+    represents A + B as [[0, *], [*, 0]]; when the kernels coincide, A + B
+    is square-zero and (x', e_s) makes it strictly upper triangular.
     """
     n, alg = m.rows, m.algebra
     # x, Mx, ..., M^n x
@@ -420,56 +391,46 @@ def _diag_zero_3x3(m: QMatrix, x: QVector) -> Optional[SimilarityWitness]:
     c = [row[n] for row in reduced]
     completion = completion_2x2(alg.zero(), c[n - 1])
     last = krylov[n - 1] + krylov[n - 3].scale_right(completion.delta - c[n - 2])
-    base = _to_basis(krylov[: n - 1] + [last])
-    w_block = _square_zero_pair_witness(*completion.summands)
-    return _embed_witness(w_block, n).compose(base)
+    a_mat, b_mat = completion.summands
+    kernels = kernel_basis(b_mat)[0], kernel_basis(a_mat)[0]
+    block = independent_subfamily([*kernels, *QMatrix.identity(2, alg).columns()])
+    return _recombine(QMatrix.from_columns(krylov[: n - 1] + [last]), QMatrix.from_columns(block))
 
 
-def _diag_zero_large(m: QMatrix) -> SimilarityWitness:
+def _diag_zero_large(m: QMatrix) -> QMatrix:
     """n >= 3: a companion basis from the first cyclic candidate, else perturb and recurse.
 
     Candidates x are taken in `_vector_candidates` order, and a cyclic x
     ends the search with `_diag_zero_3x3`.  At n >= 4 a non-cyclic x with Mx
-    off its line gives a corner basis (x, Mx, ...), which zeroes the corner.
-    Conjugating by the shear with first row (1, 0, q_1, ..., q_{n-2}) adds
-    the perturbation to the first row of the trailing block and keeps the
+    off its line gives a corner basis (s_1, ..., s_n) = (x, Mx, ...), which
+    zeroes the corner.  Adding s_1*q_j to s_(j+2), a shear, adds the
+    perturbation q to the first row of the trailing block and keeps the
     corner zero; an accepted block is reduced by its own decision.  When no
     perturbation is accepted, the next x is tried, for at most
     MAX_TRIAL_DECISIONS trial decisions in all.  A derogatory M, with no
     cyclic vector, takes only this step.
     """
     n, alg = m.rows, m.algebra
-
-    def shear(top) -> QMatrix:
-        rows = [list(row) for row in QMatrix.identity(n, alg).entries]
-        rows[0][2:] = top
-        return QMatrix(rows)
-
-    zero = alg.zero()
     trials = 0
     for x in _vector_candidates(n, alg):
         companion = _diag_zero_3x3(m, x)
         if companion is not None:
             return companion
-        base = _corner_basis(m, x) if n > 3 else None
-        if base is None:
+        corner = _corner_basis(m, x) if n > 3 else None
+        if corner is None:
             continue
-        trailing = conjugate_by(m, base).submatrix(range(1, n), range(1, n))
+        base, trailing = corner
+        s = base.columns()
         for qlist in _perturbation_lists(n - 2, alg):
             if trials == MAX_TRIAL_DECISIONS:
-                raise SearchBudgetExceeded(
-                    f"reduction: no trailing block accepted in {MAX_TRIAL_DECISIONS} decisions"
-                )
+                raise SearchBudgetExceeded(f"reduction: no trailing block accepted in {trials} decisions")
             trials += 1
-            bump = QMatrix(
-                [[zero, *qlist]] + [[zero] * (n - 1) for _ in range(n - 2)]
-            )
-            candidate = trailing + bump
+            first = [t + q for t, q in zip(trailing.entries[0], (alg.zero(), *qlist))]
+            candidate = QMatrix([first, *trailing.entries[1:]])
             decision = is_sum_of_two_nilpotents(candidate)
             if decision.answer:
-                sheared = SimilarityWitness._trusted(shear([-q for q in qlist]), shear(qlist))
-                w_sub = _diag_zero(candidate, decision)
-                return _embed_witness(w_sub, n).compose(sheared.compose(base))
+                sheared = s[:2] + [v + s[0].scale_right(q) for v, q in zip(s[2:], qlist)]
+                return _recombine(QMatrix.from_columns(sheared), _diag_zero(candidate, decision))
             if not any(qlist) and _scalar_below_first_row(trailing):
                 # the block is lam*I + e_1*r, and a first-row perturbation keeps lam
                 # and the image eigenvalue r_1, hence the verdict
@@ -499,8 +460,7 @@ def decompose_two_nilpotents(m: QMatrix) -> TwoNilpotentDecomposition:
     `verify_certificate`, which reuses the conjugate P*M*Pinv, are checked
     before returning, and a failed check raises CertificateError.
     """
-    witness = _decided_diag_zero(m)
-    d = _zero_diagonal_conjugate(m, witness)
+    witness, d = _certify(m, _decided_diag_zero(m))
     upper, _ = strict_split(d)
     n1 = conjugate_by(upper, witness.inverse())
     n2 = m - n1

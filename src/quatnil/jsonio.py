@@ -12,8 +12,8 @@ from typing import Optional
 
 from .classify import Classification, Decision, Reason, TypeIIData
 from .decompose import TwoNilpotentDecomposition
-from .errors import ParseError, PreconditionError
-from .qcore import AlgebraParams, ConjClass, Quaternion
+from .errors import ParameterError, ParseError, PreconditionError
+from .qcore import AlgebraParams, ConjClass, Quaternion, rat
 from .qlinalg import QMatrix, SimilarityWitness
 from .spectral import DiagonalizationCertificate
 
@@ -24,9 +24,9 @@ def fraction_to_str(f: Fraction) -> str:
 
 def fraction_from_str(s) -> Fraction:
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {s!r}") from exc
+        return rat(str(s))
+    except ParameterError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def algebra_to_json(algebra: AlgebraParams) -> dict:

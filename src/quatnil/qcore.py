@@ -29,14 +29,34 @@ from .errors import (
 
 RationalLike = Union[int, str, Fraction]
 
+#: Largest decimal exponent magnitude in a rational literal; Fraction("1e<x>")
+#: computes 10**x, which would get around Python's 4300-digit integer limit.
+MAX_EXPONENT = 4300
+
+#: Largest bit length of |numerator|*denominator of an algebra parameter, so
+#: that its second largest prime factor has at most 32 bits and factoring is fast.
+MAX_PARAMETER_BITS = 64
+
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, a 'p/q' string, or a Fraction to an exact Fraction."""
+    """Coerce an int, a rational literal string ('p/q', '1.5e3'), or a Fraction to a Fraction.
+
+    A string that Fraction rejects, or whose exponent exceeds MAX_EXPONENT
+    in magnitude, raises ParameterError.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
-    raise ParameterError(f"cannot interpret {value!r} as a rational number")
+    if not isinstance(value, str):
+        raise ParameterError(f"cannot interpret {value!r} as a rational number")
+    exponent = value.replace("E", "e").partition("e")[2].replace("_", "")
+    try:
+        if exponent and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_EXPONENT}")
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"bad rational literal {value!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +238,12 @@ def _local_model(a: Fraction, b: Fraction) -> tuple:
     squarefree integers; `primes` are the primes of a_sf*b_sf, ascending.
     Only the real place, 2 and the odd primes of a_sf*b_sf can carry a
     Hilbert symbol (a,b)_v = -1; `ramified` lists the places that do.
+    A parameter whose |numerator|*denominator exceeds MAX_PARAMETER_BITS
+    raises ParameterError before it is factored.
     """
+    for r in (a, b):
+        if (abs(r.numerator) * r.denominator).bit_length() > MAX_PARAMETER_BITS:
+            raise ParameterError(f"algebra parameter {r}: |numerator|*denominator exceeds 64 bits")
     a_sf, a_scale, a_primes = _squarefree_model(a)
     b_sf, b_scale, b_primes = _squarefree_model(b)
     primes = tuple(sorted({*a_primes, *b_primes}))

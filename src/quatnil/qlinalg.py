@@ -350,10 +350,6 @@ class SimilarityWitness:
     def inverse(self) -> "SimilarityWitness":
         return SimilarityWitness._trusted(self.Pinv, self.P)
 
-    def compose(self, first: "SimilarityWitness") -> "SimilarityWitness":
-        """Witness applying `first` and then `self`: M -> self(first(M))."""
-        return SimilarityWitness._trusted(self.P * first.P, first.Pinv * self.Pinv)
-
 
 def conjugate_by(m: QMatrix, w: SimilarityWitness) -> QMatrix:
     """P * M * Pinv, exactly."""

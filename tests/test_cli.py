@@ -62,6 +62,22 @@ class TestSerialization:
         assert again.witness is not None and again.witness.P == dec.witness.P
 
 
+def run_cli(*args):
+    """`quatnil` in a subprocess with a 30 s timeout, so that a hang fails the test."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "quatnil.cli", *args],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+#: -(2^61 - 1)(2^89 - 1): 150 bits, and Pollard rho needs about 2^30 steps for its smaller factor
+HOSTILE_PARAMETER = "-1427247692705959880439315947500961989719490561"
+
+
 def write_matrix(path, m):
     path.write_text(json.dumps(jsonio.matrix_to_json(m)))
     return str(path)
@@ -296,20 +312,41 @@ class TestCli:
 
     @pytest.mark.parametrize("height", [0, -1])
     def test_gen_rejects_a_height_below_one(self, height, tmp_path):
-        # in a subprocess with a timeout, so that a rejection loop that never
-        # ends fails the test instead of hanging it
-        src = Path(__file__).resolve().parents[1] / "src"
+        # in a subprocess, so that a rejection loop that never ends fails the test
         for kind in KINDS:
-            out = subprocess.run(
-                [sys.executable, "-m", "quatnil.cli", "gen", "--kind", kind, "-n", "3",
-                 "--height", str(height), "-o", str(tmp_path / "x.json")],
-                env={"PYTHONPATH": str(src)},
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
+            out = run_cli("gen", "--kind", kind, "-n", "3", "--height", str(height), "-o", str(tmp_path / "x.json"))
             assert out.returncode == 2, (kind, out.stderr)
             assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, (kind, out.stderr)
+
+    @pytest.mark.parametrize(
+        "option", ["--lam=abc", "--lam=1/0", "--algebra=x,1", "--algebra=1/0,-1"]
+    )
+    def test_gen_rejects_a_malformed_rational(self, option, tmp_path, capsys):
+        rc = main(["gen", "--kind", "type-II", "-n", "3", option, "-o", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: bad rational literal") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("route", ["gen", "classify"])
+    def test_a_hostile_algebra_parameter_fails_fast(self, route, tmp_path):
+        # it is rejected by its size before it is factored
+        if route == "gen":
+            out = run_cli("gen", "--kind", "random", "-n", "2", f"--algebra={HOSTILE_PARAMETER},-1",
+                          "-o", str(tmp_path / "x.json"))
+        else:
+            doc = {"algebra": {"a": HOSTILE_PARAMETER, "b": "-1"}, "entries": [[["1", "0", "0", "0"]]]}
+            (tmp_path / "m.json").write_text(json.dumps(doc))
+            out = run_cli("classify", "-i", str(tmp_path / "m.json"))
+        assert out.returncode == 2, out.stderr
+        assert "exceeds 64 bits" in out.stderr and out.stderr.count("\n") == 1, out.stderr
+
+    @pytest.mark.parametrize("literal", ["1e100000000", "1e-100000000", "1E4301"])
+    def test_a_huge_exponent_fails_fast(self, literal, tmp_path):
+        # Fraction would compute 10**exponent
+        doc = {"algebra": {"a": "-1", "b": "-1"}, "entries": [[[literal, "0", "0", "0"]]]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        out = run_cli("classify", "-i", str(tmp_path / "m.json"))
+        assert out.returncode == 2, out.stderr
+        assert "exponent beyond 4300" in out.stderr and out.stderr.count("\n") == 1, out.stderr
 
     def test_split_algebra_exit_code(self, tmp_path):
         rc = main(["gen", "--kind", "random", "-n", "2", "--algebra", "1,-1",

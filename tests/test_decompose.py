@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quatnil.errors import PreconditionError, SearchBudgetExceeded
+from quatnil.errors import CertificateError, PreconditionError, SearchBudgetExceeded
 from quatnil.qlinalg import (
     QMatrix,
     QVector,
@@ -396,24 +396,22 @@ class TestDecompose:
 
     @pytest.mark.parametrize("ab", [(-1, -1), (-1, -7), (2, -5)], ids=str)
     def test_type_ii_closed_form_basis(self, ab, monkeypatch):
-        # one basis change gives lam*(I - J), or E_12 when lam = 0, with no field recursion
+        # one basis change gives lam*(I - J), or E_12 when lam = 0, with no field
+        # recursion; it and the companion basis are each inverted once
         alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
-        calls = {"invert": 0, "field": 0}
-
-        def counted(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(decompose_module, "invert", counted("invert", decompose_module.invert))
+        sizes, field_calls = [], []
+        invert, field = decompose_module.invert, decompose_module._field_diag_zero_inner
+        monkeypatch.setattr(decompose_module, "invert", lambda mat: sizes.append(mat.rows) or invert(mat))
         monkeypatch.setattr(
-            decompose_module,
-            "_field_diag_zero_inner",
-            counted("field", decompose_module._field_diag_zero_inner),
+            decompose_module, "_field_diag_zero_inner", lambda mat: field_calls.append(mat) or field(mat)
         )
         for n in range(3, 8):
+            # the companion basis: one n x n inversion, beside the 2x2 completion's
+            m = generate(InstanceSpec(alg, n, "generic-trace-zero", seed=n))
+            sizes.clear()
+            dec = decompose_two_nilpotents(m)
+            assert sizes.count(n) == 1 and set(sizes) <= {2, n}, (n, sizes)
+            assert verify_decomposition(m, dec.n1, dec.n2)
             for lam in (-2, 0, 1):
                 m = generate(InstanceSpec(alg, n, "type-II", seed=n, lam=Fraction(lam)))
                 if lam:
@@ -421,11 +419,21 @@ class TestDecompose:
                 else:
                     want = [[alg.zero()] * n for _ in range(n)]
                     want[0][1] = alg.one()
-                calls.update(invert=0, field=0)
+                sizes.clear()
                 dec = decompose_two_nilpotents(m)
                 assert dec.diag_zero == QMatrix(want), (n, lam)
-                assert calls == {"invert": 1, "field": 0}, (n, lam)
+                assert sizes == [n] and not field_calls, (n, lam)
                 assert verify_decomposition(m, dec.n1, dec.n2)
+
+    @pytest.mark.parametrize("kind", ["generic-trace-zero", "type-II"])
+    def test_singular_basis_is_a_certificate_error(self, H, kind, monkeypatch):
+        # the one inversion at the boundary reports a singular basis, not an AttributeError
+        original = decompose_module.invert
+        monkeypatch.setattr(decompose_module, "invert", lambda mat: None if mat.rows > 2 else original(mat))
+        extra = {"lam": Fraction(1)} if kind == "type-II" else {}
+        m = generate(InstanceSpec(H, 4, kind, seed=4, **extra))
+        with pytest.raises(CertificateError, match="singular"):
+            decompose_two_nilpotents(m)
 
     def test_round_trip_small_sizes(self, H):
         rng = random.Random(7)

@@ -555,7 +555,8 @@ class TestFactorize:
         assert all(qcore._is_prime(p) for p in (1009, 999983, 2**31 - 1, 2**61 - 1, 2**89 - 1))
 
     def test_sqrt_pure_does_not_factor_the_parameters(self, monkeypatch):
-        alg = AlgebraParams(Fraction(-(2**61 - 1) * (2**31 - 1)), Fraction(-1))
+        # a = -5(2^61 - 1): 64 bits, within the parameter limit
+        alg = AlgebraParams(Fraction(-5 * (2**61 - 1)), Fraction(-1))
         factored = []
 
         def counting(n):
@@ -582,7 +583,11 @@ class TestFactorize:
     def test_large_factors_return(self):
         # trial division alone would take of the order of 10^9 steps on each
         start = time.perf_counter()
-        assert is_division(-(2**61 - 1) * (2**31 - 1), -1)
+        assert dict(qcore._factorize((2**61 - 1) * (2**31 - 1))) == {2**31 - 1: 1, 2**61 - 1: 1}
+        assert is_division(-(2**31 - 1) * 2147483629, -1)
+        # a 92-bit parameter exceeds the 64-bit limit and is not factored
+        with pytest.raises(ParameterError, match="64 bits"):
+            is_division(-(2**61 - 1) * (2**31 - 1), -1)
         H = qcore.hamilton_algebra()
         e = Fraction(-3, (2**31 - 1) * 2147483629)
         s = sqrt_pure(e, H)
