@@ -110,13 +110,13 @@ def test_decomposition_digest(key):
 
 
 def _structured(ab, label):
-    """Diag(1,...,1,-1,...,-1), or a 2x2 block (+) the zero matrix for a label "<block>+0-n<n>"."""
+    """Diag(...) of 1, -1, i and j, or a 2x2 block (+) the zero matrix for a label "<block>+0-n<n>"."""
     alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
     one, i, j, _ = alg.basis()
     z = alg.zero()
-    if label.startswith("Diag"):
-        half = label.count("-1")
-        return QMatrix.diagonal([one] * half + [-one] * half)
+    if label.startswith("Diag("):
+        names = {"1": one, "-1": -one, "i": i, "j": j}
+        return QMatrix.diagonal([names[s] for s in label[5:-1].split(",")])
     block, n = label.rsplit("+0-n", 1)
     top = {"J2(i)": [[i, one], [z, i]], "[[i,1],[0,j]]": [[i, one], [z, j]], "[[0,1],[i,0]]": [[z, one], [i, z]]}[block]
     pad = int(n) - 2
@@ -125,8 +125,17 @@ def _structured(ab, label):
 
 # (algebra, label) -> digest of decomposition_to_json for derogatory (no
 # cyclic vector) and n = 3 matrices, whose reductions must not move when the
-# generic path changes
+# generic path changes; the n = 2 labels take the candidates p1 + p2,
+# p1 + p2*i, p1 + p2*j and p1 of the square's eigenbasis (p1, p2)
 STRUCTURED = {
+    (HAMILTON, "Diag(1,-1)"): "27cfa31b1b7026fcc963b9e1630ea6a423ed5ea08cdb15b5d4656705428d6cb5",
+    (HAMILTON, "Diag(j,j)"): "9d88dd1d4a1398362815f329f70001d61c15026c60c041bf5c18466c0f73241d",
+    (HAMILTON, "Diag(i,i)"): "85022755e89118b3f4efc43e180cf7eb741b51940b370c156635dd08080f9af7",
+    (HAMILTON, "[[0,1],[i,0]]+0-n2"): "8514b91df7bdc7e1cba042104682af7caf6648736d4c38298e77b3cf2dde8822",
+    (OTHER, "Diag(1,-1)"): "c61aad300c5fea7276048cc216e7e476afdd44a586efe28eab2a780d2cf2583d",
+    (OTHER, "Diag(j,j)"): "9d0f8c8e6bf2bdfa084affff8552438c186e55d3a92ff1922e83004dbfedf5a2",
+    (OTHER, "Diag(i,i)"): "45f928f73e9962416ee14feae74fe75f25161f9ddf67cacde882d03ee54076b4",
+    (OTHER, "[[0,1],[i,0]]+0-n2"): "11a0ce64e019adbdbe4a9329822aa4733460152facaab46b3432b85e6b56653a",
     (HAMILTON, "J2(i)+0-n4"): "d526d77892e8df86e05d4cb06ea4cf13ac7e9f8371e4b750f34fd0f8a9405727",
     (HAMILTON, "J2(i)+0-n5"): "f33560241d3e15faa3252a67180501d2019c218438714823bd6e04288575a74c",
     (HAMILTON, "[[i,1],[0,j]]+0-n3"): "b4699824f4e620ceefa8bada0239193549a118a6cb31cd61d50e5cbfa3b6be3c",
@@ -152,8 +161,15 @@ def test_structured_decomposition_digest(key):
     assert verify_certificate(m, dec.n1, dec.n2, dec.witness)
 
 
-# label -> (instance, digest of decision_to_json, digest of classification_to_json)
+# label -> (instance, digest of decision_to_json, digest of classification_to_json);
+# an instance is a generator tuple or an (algebra, structured label) pair
 REFUSALS = {
+    # [[i, 1], [0, i]]: its square -I + 2i*E_12 is not diagonalizable
+    "n2-spectral-obstruction": (
+        (HAMILTON, "J2(i)+0-n2"),
+        "b4c623414277096d8fbbc15263a5dca74d642999953ee90e4a9447b710fc91cb",
+        "c5f6bd5f172a699622584ddf85e5862d87a8f2c9d7c5bf299ec696621df5e22f",
+    ),
     "type-I": (
         (HAMILTON, 3, "type-I", 31, {"lam": Fraction(2)}),
         "de84be797ef6fc5a2dc4c6a3f2542a12c679c14f731c93ce04560a907551655e",
@@ -175,8 +191,12 @@ REFUSALS = {
 
 @pytest.mark.parametrize("label", list(REFUSALS))
 def test_refusal_digests(label):
-    (ab, n, kind, seed, extra), want_decision, want_classification = REFUSALS[label]
-    m = _instance(ab, n, kind, seed, **dict(extra))
+    instance, want_decision, want_classification = REFUSALS[label]
+    if len(instance) == 2:
+        m = _structured(*instance)
+    else:
+        ab, n, kind, seed, extra = instance
+        m = _instance(ab, n, kind, seed, **dict(extra))
     decision = is_sum_of_two_nilpotents(m)
     assert not decision.answer
     assert _digest(jsonio.decision_to_json(decision)) == want_decision
