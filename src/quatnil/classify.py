@@ -8,8 +8,10 @@ Zero > TypeI > TypeII > TypeIII > Generic.
 
 Decision: a square matrix is a sum of two nilpotent matrices iff
   n = 1: it is zero;
-  n = 2: its square is unispectral diagonalizable and, if the matrix itself
-         is, it is zero or its eigenvalue class is noncentral pure;
+  n = 2: its reduced trace is zero and its square is unispectral
+         diagonalizable; the paper's second clause, that an M similar to
+         Diag(mu, mu) is zero or has mu noncentral pure, follows, since
+         t(M) = 2*t(mu) = 0 makes mu pure;
   n >= 3: its reduced trace is zero and it is of none of the special types,
           except that type II with zero supertrace is always a yes.
 """
@@ -72,7 +74,7 @@ class Decision:
     trace: Fraction
     type_i_scalar: Optional[Fraction] = None
     type_ii: Optional[TypeIIData] = None
-    type_iii: Optional[DiagonalizationCertificate] = None
+    type_iii: Optional[DiagonalizationCertificate] = None  # a type-III refusal's certificate
     note: str = ""
     classification: Optional[Classification] = None  # the one pass that decided
     # n = 2 yes: the certificate of M*M that decided it, which the 2x2 reduction
@@ -259,16 +261,6 @@ def is_sum_of_two_nilpotents(m: QMatrix) -> Decision:
                 Reason.N2_SPECTRAL_OBSTRUCTION,
                 note="square is not unispectral diagonalizable",
             )
-        cert_m = unispectral_diagonalizable(m)
-        if cert_m is not None:
-            q = cert_m.eigenvalue
-            if q.reduced_trace() != 0 or q.is_central():
-                return decided(
-                    False,
-                    Reason.N2_SPECTRAL_OBSTRUCTION,
-                    type_iii=cert_m,
-                    note="unispectral diagonalizable with eigenvalue not a noncentral pure",
-                )
         return decided(True, Reason.YES, square_certificate=cert_sq)
 
     if cls.verdict == Verdict.TYPE_II:

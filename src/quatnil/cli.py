@@ -8,14 +8,15 @@ witness (`verify_decomposition`).
 
 Exit codes: 0 success / decision yes; 1 `check` found the certificate
 INVALID (or `selftest` failed); 2 parse or invalid-request error (also a
-malformed rational, an exponent beyond 4300 in magnitude, or an algebra
-parameter whose |numerator|*denominator exceeds 64 bits); 3 decision
+malformed rational, an exponent beyond 4300 in magnitude, an algebra
+parameter whose |numerator|*denominator exceeds 64 bits, or an output
+rational past Python's 4300-digit limit on integer strings); 3 decision
 no; 4 the requested algebra is not a division algebra; 5 a construction
-search ran out (SearchBudgetExceeded: the end of a fixed candidate list, or
-the trial-decision cap that non-cyclic corner vectors spend at n >= 4; the
-decision never runs out); 6 a certificate failed its final
-check (CertificateError, a defect in the library).  Errors print one
-`error:` line.
+search ran out (SearchBudgetExceeded: no cyclic candidate vector at n = 3,
+or the trial-decision cap that non-cyclic corner vectors spend at n >= 4;
+the decision and the n = 2 reduction never run out); 6 a certificate
+failed its final check (CertificateError, a defect in the library).
+Errors print one `error:` line.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _load_matrix(path: str):
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return jsonio.matrix_from_json(data)
 
@@ -118,7 +119,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.decomposition) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{args.decomposition}: {exc}") from exc
     try:
         dec = jsonio.decomposition_from_json(data)

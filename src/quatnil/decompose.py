@@ -4,9 +4,10 @@ Every matrix accepted by the decision procedure is conjugated to a matrix
 with zero diagonal, whose strictly upper and strictly lower parts pull back
 to the two nilpotent summands.  The matrix is decided once, and each case
 of that decision builds one basis S in which M has zero diagonal: (x, Mx)
-at n = 2, a closed form for type-II data (M becomes lam*(I - J), or E_12
-when lam = 0), and otherwise the companion basis (x, Mx, ..., M^(n-1) x)
-of the first cyclic candidate x.  Only a non-cyclic candidate at n >= 4
+at n = 2, with x built from the eigenbasis of M*M that decided it, a
+closed form for type-II data (M becomes lam*(I - J), or E_12 when
+lam = 0), and otherwise the companion basis (x, Mx, ..., M^(n-1) x) of
+the first cyclic candidate x.  Only a non-cyclic candidate at n >= 4
 perturbs and recurses on the trailing block, whose basis T recombines the
 trailing columns: S*(I (+) T).  Each public function inverts S once,
 P = S^-1 and Pinv = S, and checks what it returns with explicit tests that
@@ -298,8 +299,8 @@ def _corner_basis(m: QMatrix, x: QVector) -> Optional[tuple[QMatrix, QMatrix]]:
 def diag_zero_form(m: QMatrix) -> SimilarityWitness:
     """Witness conjugating M, which the decision procedure must accept, to a zero diagonal.
 
-    A construction search that runs out (the end of a fixed candidate list,
-    or the trial-decision cap that only non-cyclic corner vectors at n >= 4
+    A construction search that runs out (no cyclic candidate at n = 3, or
+    the trial-decision cap that only non-cyclic corner vectors at n >= 4
     spend) raises SearchBudgetExceeded, never a mathematical rejection; a
     witness that fails its check raises CertificateError.
     """
@@ -327,25 +328,27 @@ def _diag_zero(m: QMatrix, decision: Decision) -> QMatrix:
 
 
 def _diag_zero_2x2(m: QMatrix, decision: Decision) -> QMatrix:
-    """Basis (x, Mx) for an eigenvector x of M*M gives [[0, q], [1, 0]].
+    """Basis (x, Mx) for an eigenvector x of M*M, which gives [[0, q], [1, 0]].
 
-    q is the eigenvalue of the certificate for M*M that the decision built,
-    and the certificate carries the Q-basis of the eigenvectors for q.
+    (p1, p2), the columns of Pinv in the decision's certificate of M*M, are
+    eigenvectors for its eigenvalue q, and x is the first of p1, p2, p1 + p2,
+    p1 + p2*i, p1 + p2*j with x and Mx right-independent.  The list cannot
+    run out.  If p1, p2 and p1 + p2 fail, M p1 = p1*mu1, M p2 = p2*mu2 and
+    M(p1 + p2) = (p1 + p2)*nu force mu1 = mu2 = nu, so M is similar to
+    Diag(mu, mu).  Then t(M) = 2*t(mu) = 0 makes mu pure and q = mu^2
+    central, so M*M = q*I is a rational scalar, whose certificate has
+    Pinv = I, and M = Diag(mu, mu).  M is nonzero, so mu is a noncentral
+    pure, which commutes with at most one of i and j; M(p1 + p2*u) is
+    (mu, mu*u), on the line of (1, u) only if u commutes with mu, so
+    p1 + p2*i or p1 + p2*j works, and it is an eigenvector of M*M = q*I.
     """
-    square = decision.square_certificate
-    if square.eigenvalue.is_central():
-        # M*M = q*I, so every nonzero vector is an eigenvector of the square.
-        candidates = _vector_candidates(2, m.algebra)
-    else:
-        basis = square.solution_basis
-        candidates = list(basis)
-        candidates += [u + v for s, u in enumerate(basis) for v in basis[s + 1 :]]
-        candidates += [u - v for s, u in enumerate(basis) for v in basis[s + 1 :]]
-    pairs = ([x, m.apply(x)] for x in candidates)
-    cols = next((pair for pair in pairs if len(independent_subfamily(pair)) == 2), None)
-    if cols is None:
-        raise SearchBudgetExceeded("2x2 reduction: no independent (x, Mx) pair found")
-    return QMatrix.from_columns(cols)
+    p1, p2 = decision.square_certificate.witness.Pinv.columns()
+    _, i, j, _ = m.algebra.basis()
+    for x in (p1, p2, p1 + p2, p1 + p2.scale_right(i), p1 + p2.scale_right(j)):
+        pair = [x, m.apply(x)]
+        if len(independent_subfamily(pair)) == 2:
+            return QMatrix.from_columns(pair)
+    raise CertificateError("2x2 reduction: every candidate x has Mx on its line")
 
 
 def _diag_zero_type_ii(m: QMatrix, data: TypeIIData) -> QMatrix:

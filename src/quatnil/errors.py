@@ -38,10 +38,10 @@ class SearchBudgetExceeded(QuatnilError, RuntimeError):
 
     Distinct from a negative decision: the existence question was answered
     yes (or is guaranteed), only the construction failed to find a witness.
-    The construction searches run through fixed structured candidate lists:
-    the n = 2 vectors, the cyclic vectors at n = 3, and at n >= 4 the cap on
-    trial decisions that non-cyclic corner vectors spend.  The decision never raises it: `sqrt_pure` builds its
-    roots by a conic descent that always ends.
+    Two construction searches can run out: the candidate list for a cyclic
+    vector at n = 3, and the cap on trial decisions that non-cyclic corner
+    vectors spend at n >= 4.  Neither the decision nor the n = 2 reduction
+    raises it: `sqrt_pure` ends by a conic descent, `_diag_zero_2x2` by a proof.
     """
 
 

@@ -7,10 +7,11 @@ a four-string coordinate list [w, x, y, z].
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional
 
-from .classify import Classification, Decision, Reason, TypeIIData
+from .classify import Classification, Decision, TypeIIData
 from .decompose import TwoNilpotentDecomposition
 from .errors import ParameterError, ParseError, PreconditionError
 from .qcore import AlgebraParams, ConjClass, Quaternion, rat
@@ -19,13 +20,17 @@ from .spectral import DiagonalizationCertificate
 
 
 def fraction_to_str(f: Fraction) -> str:
-    return str(f)
+    try:
+        return str(f)
+    except ValueError as exc:  # past Python's limit on the digits of an integer string, which stays
+        limit = sys.get_int_max_str_digits()
+        raise ParameterError(f"an output rational exceeds the {limit}-digit limit on integer strings") from exc
 
 
 def fraction_from_str(s) -> Fraction:
     try:
         return rat(str(s))
-    except ParameterError as exc:
+    except ValueError as exc:  # a bad literal, or an integer past the digit limit of str
         raise ParseError(str(exc)) from exc
 
 
@@ -68,6 +73,8 @@ def matrix_from_json(data, algebra: Optional[AlgebraParams] = None) -> QMatrix:
     entries = data.get("entries")
     if not isinstance(entries, list) or not entries:
         raise ParseError("matrix object lacks entries")
+    if not all(isinstance(row, list) for row in entries):
+        raise ParseError("each matrix row must be a list of quaternions")
     rows = [[quaternion_from_json(e, algebra) for e in row] for row in entries]
     m = QMatrix(rows)
     if "rows" in data and data["rows"] != m.rows:
@@ -99,7 +106,8 @@ def decomposition_from_json(data) -> TwoNilpotentDecomposition:
     alg = n1.algebra
 
     def load(key):
-        m = matrix_from_json(data[key], None if "algebra" in data[key] else alg)
+        doc = data[key]
+        m = matrix_from_json(doc, None if isinstance(doc, dict) and "algebra" in doc else alg)
         if m.algebra != alg:
             raise ParseError(f"{key} uses a different algebra than N1")
         return m
@@ -163,8 +171,7 @@ def decision_to_json(dec: Decision) -> dict:
     if dec.type_ii is not None:
         out["typeII"] = type_ii_to_json(dec.type_ii)
     if dec.type_iii is not None:
-        key = "typeIII" if dec.reason == Reason.TYPE_III else "certificate"
-        out[key] = certificate_to_json(dec.type_iii)
+        out["typeIII"] = certificate_to_json(dec.type_iii)
     if dec.note:
         out["note"] = dec.note
     return out

@@ -12,7 +12,7 @@ wrong positive answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -56,14 +56,12 @@ class QuadraticRelation:
 class DiagonalizationCertificate:
     """Witness with P * M * Pinv == Diag(q, ..., q) exactly.
 
-    `solution_basis` is the Q-basis of {X : M X = X q} that the columns of
-    Pinv were picked from (empty for a rational scalar M); it is kept for
-    reuse, and neither serialized nor compared.
+    The columns of Pinv are right-independent eigenvectors, M X = X q, and
+    Pinv is the identity when M is a rational scalar.
     """
 
     eigenvalue: Quaternion
     witness: SimilarityWitness
-    solution_basis: tuple[QVector, ...] = field(default=(), compare=False, repr=False)
 
 
 def checked_witness(p: QMatrix, pinv: QMatrix) -> SimilarityWitness:
@@ -221,8 +219,7 @@ def unispectral_diagonalizable(m: QMatrix) -> Optional[DiagonalizationCertificat
     if s is None:
         return None
     q = m.algebra.scalar(rel.trace / 2) + s
-    solution = eigenvectors_for(m, q)
-    picked = independent_subfamily(solution.basis)
+    picked = independent_subfamily(eigenvectors_for(m, q).basis)
     if len(picked) < n:
         return None
     pinv_mat = QMatrix.from_columns(picked)
@@ -235,6 +232,4 @@ def unispectral_diagonalizable(m: QMatrix) -> Optional[DiagonalizationCertificat
         or m * pinv_mat != pinv_mat.scale_right(q)
     ):
         raise CertificateError("the eigenbasis does not diagonalize the matrix")
-    return DiagonalizationCertificate(
-        q, SimilarityWitness._trusted(p_mat, pinv_mat), tuple(solution.basis)
-    )
+    return DiagonalizationCertificate(q, SimilarityWitness._trusted(p_mat, pinv_mat))

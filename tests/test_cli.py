@@ -348,6 +348,41 @@ class TestCli:
         assert out.returncode == 2, out.stderr
         assert "exponent beyond 4300" in out.stderr and out.stderr.count("\n") == 1, out.stderr
 
+    def test_a_matrix_row_that_is_not_a_list_is_a_parse_error(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(json.dumps({"algebra": {"a": "-1", "b": "-1"}, "entries": [1]}))
+        rc = main(["classify", "-i", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("key", ["N2", "P", "Pinv", "diagZero"])
+    def test_a_summand_that_is_not_an_object_is_a_parse_error(self, H, key, tmp_path, capsys):
+        mat_path, data = decomposed(H, tmp_path)
+        data[key] = 5
+        rc, out, err = check(mat_path, data, tmp_path, capsys)
+        assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path):
+        # json.load itself refuses to convert it
+        text = '{"algebra": {"a": "-1", "b": "-1"}, "entries": [[[%s, 0, 0, 0]]]}' % ("1" * 5000)
+        (tmp_path / "m.json").write_text(text)
+        out = run_cli("classify", "-i", str(tmp_path / "m.json"))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+    @pytest.mark.parametrize("route", ["gen", "decompose"])
+    def test_output_past_the_digit_limit_is_a_parameter_error(self, route, tmp_path):
+        # 10^4300 has 4301 digits; Python's limit on integer strings is not raised
+        if route == "gen":
+            out = run_cli("gen", "--kind", "type-I", "--size", "2", "--lam", "1e4300", "-o", str(tmp_path / "x.json"))
+        else:
+            entry = lambda w: [w, "0", "0", "0"]
+            doc = {"algebra": {"a": "-1", "b": "-1"},
+                   "entries": [[entry("1e4300"), entry("0")], [entry("0"), entry("-1e4300")]]}
+            (tmp_path / "m.json").write_text(json.dumps(doc))
+            out = run_cli("decompose", "-i", str(tmp_path / "m.json"), "-o", str(tmp_path / "dec.json"))
+        assert out.returncode == 2, out.stderr
+        assert "4300-digit limit" in out.stderr and out.stderr.count("\n") == 1, out.stderr
+
     def test_split_algebra_exit_code(self, tmp_path):
         rc = main(["gen", "--kind", "random", "-n", "2", "--algebra", "1,-1",
                    "-o", str(tmp_path / "x.json")])

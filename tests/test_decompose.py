@@ -344,7 +344,27 @@ class TestDecompose:
             calls.clear()
             dec = decompose_two_nilpotents(m)
             assert_both_checks_pass(m, dec)
-            assert sum(1 for a in calls if a == m * m) == 1
+            # M*M alone decides: M itself is never analysed
+            assert calls == [m * m]
+
+    @pytest.mark.parametrize("ab", [(-1, -1), (-1, -7)], ids=str)
+    def test_2x2_steps_of_the_candidate_list(self, ab):
+        # M*M is central for each, so its eigenbasis (p1, p2) is (e1, e2);
+        # Diag(1, -1) takes p1 + p2, and Diag(mu, mu) with mu pure fails
+        # p1, p2 and p1 + p2 and takes the unit that does not commute with mu
+        alg = AlgebraParams(Fraction(ab[0]), Fraction(ab[1]))
+        one, i, j, _ = alg.basis()
+        for diagonal, second in (([one, -one], one), ([j, j], i), ([i, i], j)):
+            m = QMatrix.diagonal(diagonal)
+            dec = decompose_two_nilpotents(m)
+            assert_both_checks_pass(m, dec)
+            assert dec.witness.Pinv.columns()[0] == QVector([one, second])
+
+    def test_2x2_list_that_runs_out_is_a_certificate_error(self, H, monkeypatch):
+        # the proof says it cannot; if it did, that is a defect, not a search budget
+        monkeypatch.setattr(decompose_module, "independent_subfamily", lambda family: family[:1])
+        with pytest.raises(CertificateError, match="every candidate"):
+            decompose_two_nilpotents(QMatrix([[H.zero(), H.i()], [H.i(), H.zero()]]))
 
     def test_2x2_solves_the_square_eigen_system_once(self, H, monkeypatch):
         calls = []
